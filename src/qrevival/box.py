@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import WaveState, circle_coefficients, circle_norm_sq, \
-    circle_overlap
+from .circle import WaveState, circle_coefficients, circle_norm_sq
 from .params import ContractViolation, DegenerateStateError, DomainError, \
     PhasePoint, PhysicalParams
+from .theta import periodized_overlap
 
 ROOT_HALF = math.sqrt(2.0) / 2.0
 
@@ -155,20 +155,22 @@ def theta_inv_map(phi: np.ndarray, half_length: float) -> np.ndarray:
     return out
 
 
-def box_overlap(params: PhysicalParams, a: PhasePoint, b: PhasePoint,
-                t: float) -> complex:
-    """Scalar product (box state a, evolved box state b).
+def odd_overlap(params: PhysicalParams, q, p, qb, pb, t: float):
+    """Box overlaps ((q, p), (qb, pb) evolved for t); labels broadcast.
 
-    Reduces to circle overlaps on the doubled circle: the second state
-    contributes its direct image at (q' - l, p') minus the reflected
-    image at (l - q', -p').
+    The odd projection of the doubled-circle overlap: against the first
+    label at (q - l, p), the second contributes its direct image at
+    (qb - l, pb) minus its wall mirror at (l - qb, -pb).
     """
     l = params.half_length
-    aa = PhasePoint(a.q - l, a.p)
-    direct = PhasePoint(b.q - l, b.p)
-    mirror = PhasePoint(l - b.q, -b.p)
-    return (circle_overlap(params, aa, direct, t, half_length=2.0 * l)
-            - circle_overlap(params, aa, mirror, t, half_length=2.0 * l))
+    return (periodized_overlap(params, q - l, p, qb - l, pb, t, 4.0 * l)
+            - periodized_overlap(params, q - l, p, l - qb, -pb, t, 4.0 * l))
+
+
+def box_overlap(params: PhysicalParams, a: PhasePoint, b: PhasePoint,
+                t: float) -> complex:
+    """Scalar product (box state a, evolved box state b); see odd_overlap."""
+    return complex(odd_overlap(params, a.q, a.p, b.q, b.p, t))
 
 
 def box_norm_sq(params: PhysicalParams, phase: PhasePoint) -> float:
@@ -178,10 +180,7 @@ def box_norm_sq(params: PhysicalParams, phase: PhasePoint) -> float:
     cross term with its wall reflection; exactly 0 at (+-l, 0).
     """
     l = params.half_length
-    shifted = PhasePoint(phase.q - l, phase.p)
-    mirror = PhasePoint(l - phase.q, -phase.p)
-    base = circle_norm_sq(
-        PhysicalParams(params.hbar, params.mass, params.alpha, 2.0 * l),
-        shifted)
-    cross = circle_overlap(params, shifted, mirror, 0.0, half_length=2.0 * l)
+    base = circle_norm_sq(params.doubled(), PhasePoint(phase.q - l, phase.p))
+    cross = periodized_overlap(params, phase.q - l, phase.p, l - phase.q,
+                               -phase.p, 0.0, 4.0 * l)
     return base - cross.real

@@ -10,19 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
 from .params import (CapacityError, ContractViolation, DomainError,
                      MethodUnavailable, PhasePoint, PhysicalParams,
                      wrap_position)
-from .theta import TAIL_REL, overlap_core
+from .theta import (TAIL_REL, dispersion, gaussian_packet, image_window,
+                    periodized_overlap)
 
-# Gaussian windows keep every term with log-weight above -WINDOW_LOG
-# (weight >= e^-40 ~ 4e-18), padded by WINDOW_MARGIN entries.
-WINDOW_LOG = 40.0
-WINDOW_MARGIN = 4
 MODE_CAP = 10**7
 
 
@@ -115,12 +111,10 @@ class LimitProfile:
 
 
 def _mode_window(params: PhysicalParams, p: float, half_length: float):
-    """Integer modes k with alpha^2 (pi k / l - p / hbar)^2 <= WINDOW_LOG."""
-    l = half_length
-    center = p * l / (math.pi * params.hbar)
-    half = l * math.sqrt(WINDOW_LOG) / (math.pi * params.alpha)
-    k_min = math.floor(center - half) - WINDOW_MARGIN
-    k_max = math.ceil(center + half) + WINDOW_MARGIN
+    """Modes k whose comb weight exp(-alpha^2 (pi k / l - p / hbar)^2)
+    passes ``image_window``."""
+    k_min, k_max = image_window(params.alpha**2, -p / params.hbar,
+                                -p / params.hbar, math.pi / half_length)
     if k_max - k_min + 1 > MODE_CAP:
         raise CapacityError(
             f"spectral window needs {k_max - k_min + 1} modes "
@@ -192,28 +186,15 @@ def evolve(state: WaveState, t: float) -> WaveState:
                    time=state.time + t)
 
 
-def _image_window(params: PhysicalParams, center: float, t: float,
-                  period: float, lo: float, hi: float):
-    """Image shifts n*period whose Gaussian weight at [lo, hi] can matter."""
-    g = params.gamma(t)
-    # |x - center - n*period| <= w keeps exp(-(..)^2/(4 a^2 (1+g^2)))
-    # above the tail threshold.
-    w = math.sqrt(4.0 * WINDOW_LOG * params.alpha**2 * (1.0 + g * g))
-    n_lo = math.floor((lo - center - w) / period) - 1
-    n_hi = math.ceil((hi - center + w) / period) + 1
-    return n_lo, n_hi
-
-
 def _eval_circle_images(params: PhysicalParams, phase: PhasePoint,
                         x: np.ndarray, t: float, half_length: float):
     """Sum of freely evolving packets over shifts of 2l (vectorized)."""
-    from .theta import gaussian_packet
-
     l = half_length
-    m = params.mass
-    center = phase.q + phase.p * t / m
-    n_lo, n_hi = _image_window(params, center, t, 2.0 * l,
-                               float(np.min(x)), float(np.max(x)))
+    center = phase.q + phase.p * t / params.mass
+    # |eta_{qp,t}(x)| decays as exp(-(x - centre)^2 / (4 dispersion^2)).
+    n_lo, n_hi = image_window(0.25 / dispersion(params, t) ** 2,
+                              center - float(np.max(x)),
+                              center - float(np.min(x)), 2.0 * l)
     out = np.zeros_like(x, dtype=complex)
     for n in range(n_lo, n_hi + 1):
         shifted = PhasePoint(phase.q + 2.0 * n * l, phase.p)
@@ -265,21 +246,10 @@ def circle_overlap(params: PhysicalParams, a: PhasePoint, b: PhasePoint,
     """Scalar product (state_a, evolved state_b) on the circle.
 
     Computed as the image sum of free-line overlaps over shifts of the
-    second label by multiples of 2l, truncated by the Gaussian window.
+    second label by multiples of 2l (``periodized_overlap``).
     """
     l = params.half_length if half_length is None else half_length
-    g = params.gamma(t)
-    m = params.mass
-    # Real decay rate of the overlap exponent in the position shift.
-    decay = 1.0 / (2.0 * params.alpha**2 * (4.0 + g * g))
-    drift = b.q - a.q + (a.p + b.p) * t / (2.0 * m)
-    half = math.sqrt(WINDOW_LOG / decay) / (2.0 * l)
-    k_center = -drift / (2.0 * l)
-    k_lo = math.floor(k_center - half) - WINDOW_MARGIN
-    k_hi = math.ceil(k_center + half) + WINDOW_MARGIN
-    shifts = b.q + 2.0 * l * np.arange(k_lo, k_hi + 1)
-    vals = overlap_core(params, a.q, a.p, shifts, b.p, t)
-    return complex(np.sum(vals))
+    return complex(periodized_overlap(params, a.q, a.p, b.q, b.p, t, 2.0 * l))
 
 
 def time_scales(params: PhysicalParams, p: float, domain: str) -> TimeScales:
@@ -381,8 +351,3 @@ def transition_density(params: PhysicalParams, a: PhasePoint, b: PhasePoint,
     else:
         raise ContractViolation(f"unknown domain {domain!r}")
     return abs(ov) ** 2 / (2.0 * math.pi * params.hbar)
-
-
-def as_fraction(M: int, N: int) -> Fraction:
-    """Reduced-fraction helper used by callers supplying c = M/N."""
-    return Fraction(M, N)

@@ -99,7 +99,6 @@ class ScenarioConfig:
     tolerances: tuple[tuple[str, float], ...] = ()
     out_dir: str = "."
     format: str = "csv"
-    threads: int = 0
     seed: int | None = None
 
     def params(self) -> PhysicalParams:
@@ -201,8 +200,9 @@ def _validate(cfg: ScenarioConfig) -> None:
                     f"fractions: {s!r} is not reduced; divide by "
                     f"{math.gcd(mm, nn)}")
     if cfg.command == "sweep":
-        if cfg.levels < 3:
-            raise ConfigError("levels: schedules need at least 3 levels")
+        # The sweep verdict needs a trend over at least 4 residuals.
+        if cfg.levels < 4:
+            raise ConfigError("levels: sweeps need at least 4 levels")
         if cfg.scenario not in ("transition", "point"):
             raise ConfigError(f"scenario: unknown scenario {cfg.scenario!r}")
         _parse_regime(cfg)
@@ -711,9 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="JSON scenario configuration file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker count (results are identical for any "
-                            "value)")
         p.add_argument("--grid", type=int, default=None,
                        help="position grid size")
         p.add_argument("--format", choices=("csv", "json"), default=None)
@@ -733,8 +730,6 @@ def main(argv: list[str] | None = None) -> int:
             data["grid"] = args.grid
         if args.format is not None:
             data["format"] = args.format
-        if args.threads is not None:
-            data["threads"] = args.threads
         cfg = parse_config(data, command=args.command)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

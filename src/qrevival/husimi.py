@@ -17,13 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from .box import box_norm_sq
+from .box import box_norm_sq, odd_overlap
 from .circle import LimitProfile, circle_norm_sq, time_scales
 from .params import ContractViolation, DomainError, PhasePoint, \
     PhysicalParams, wrap_position
-from .theta import overlap_core
-
-WINDOW_LOG = 40.0
+from .theta import periodized_overlap
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +75,9 @@ def husimi_grid(rho: DensityOperatorMixture, q: np.ndarray, p: np.ndarray
     """Husimi density on a (q, p) product grid; shape (len(q), len(p)).
 
     (1/2 pi hbar) sum_i w_i |((q,p)-state, atom_i at time t)|^2 divided
-    by the atom squared norms.  Vectorized over atoms and positions; the
-    reduction order over atoms and image shifts is fixed, so results do
-    not depend on how callers batch the grid.
+    by the atom squared norms.  Vectorized over atoms and positions.  The
+    image window follows the labels in each block, so batching the grid
+    differently (say, point by point) agrees only to rounding.
     """
     params = rho.params
     q = np.asarray(q, dtype=float)
@@ -89,47 +87,18 @@ def husimi_grid(rho: DensityOperatorMixture, q: np.ndarray, p: np.ndarray
     ap = np.array([ph.p for _, ph in rho.atoms])
     scale = w / rho.atom_norms_sq()
     out = np.zeros((len(q), len(p)))
-    l = params.half_length
     for j, pj in enumerate(p):
-        if rho.domain == "circle":
-            rows = _overlap_block(params, q, float(pj), aq, ap, rho.time, l)
-        else:
-            rows = (_overlap_block(params, q - l, float(pj), aq - l, ap,
-                                   rho.time, 2.0 * l)
-                    - _overlap_block(params, q - l, float(pj), l - aq, -ap,
-                                     rho.time, 2.0 * l))
+        rows = _overlaps(params, rho.domain, q[:, None], pj, aq, ap, rho.time)
         out[:, j] = np.abs(rows) ** 2 @ scale
     return out / (2.0 * math.pi * params.hbar)
 
 
-def _overlap_block(params: PhysicalParams, q: np.ndarray, p: float,
-                   aq: np.ndarray, ap: np.ndarray, t: float, l: float
-                   ) -> np.ndarray:
-    """Overlaps ((q_i, p), atom_j at t) for all grid positions and atoms.
-
-    Returns shape (len(q), len(atoms)); the image window is shared by
-    all pairs, sized to cover the worst-case drift.
-    """
-    g = params.gamma(t)
-    m = params.mass
-    decay = 1.0 / (2.0 * params.alpha**2 * (4.0 + g * g))
-    half = math.sqrt(WINDOW_LOG / decay) / (2.0 * l)
-    out = np.empty((len(q), len(aq)), dtype=complex)
-    # Chunk the atoms so the (position, atom, image) block stays small
-    # even when spreading makes the image window wide.
-    chunk = max(1, int(2**22 // max(len(q) * (2 * half + 8), 1)))
-    for a0 in range(0, len(aq), chunk):
-        aqc = aq[a0:a0 + chunk]
-        apc = ap[a0:a0 + chunk]
-        drift = aqc[None, :] - q[:, None] + (p + apc[None, :]) * t / (2.0 * m)
-        k_center = -drift / (2.0 * l)
-        k = np.arange(math.floor(float(np.min(k_center)) - half) - 2,
-                      math.ceil(float(np.max(k_center)) + half) + 3)
-        vals = overlap_core(params, q[:, None, None], p,
-                            aqc[None, :, None] + 2.0 * l * k[None, None, :],
-                            apc[None, :, None], t)
-        out[:, a0:a0 + chunk] = np.sum(vals, axis=2)
-    return out
+def _overlaps(params: PhysicalParams, domain: str, q, p, qb, pb, t: float):
+    """Circle or box overlaps ((q, p), (qb, pb) evolved for t), broadcast."""
+    if domain == "circle":
+        return periodized_overlap(params, q, p, qb, pb, t,
+                                  2.0 * params.half_length)
+    return odd_overlap(params, q, p, qb, pb, t)
 
 
 # ---------------------------------------------------------------------------
@@ -471,44 +440,9 @@ def transition_grid(params: PhysicalParams, fixed: PhasePoint, t: float,
     q = -l + 2.0 * l / nq * (np.arange(nq) + 0.5)
     out = np.zeros((nq, len(p_nodes)))
     for j, pp in enumerate(p_nodes):
-        if domain == "circle":
-            row = np.zeros(nq, dtype=complex)
-            for i in range(0, nq, 512):
-                chunk = q[i:i + 512]
-                row[i:i + 512] = _transition_row(params, fixed, chunk,
-                                                 float(pp), t, l)
-            out[:, j] = np.abs(row) ** 2
-        else:
-            row = np.zeros(nq, dtype=complex)
-            aa = PhasePoint(fixed.q - l, fixed.p)
-            for i in range(0, nq, 512):
-                chunk = q[i:i + 512]
-                d = _transition_row(params, aa, chunk - l, float(pp),
-                                    t, 2.0 * l)
-                mref = _transition_row(params, aa, -(chunk - l),
-                                       -float(pp), t, 2.0 * l)
-                row[i:i + 512] = d - mref
-            out[:, j] = np.abs(row) ** 2
+        row = _overlaps(params, domain, fixed.q, fixed.p, q, pp, t)
+        out[:, j] = np.abs(row) ** 2
     return out / (2.0 * math.pi * params.hbar)
-
-
-def _transition_row(params: PhysicalParams, fixed: PhasePoint,
-                    qb: np.ndarray, pb: float, t: float, l: float
-                    ) -> np.ndarray:
-    """(fixed, (qb_i, pb) at t) overlaps, image-summed, vectorized."""
-    g = params.gamma(t)
-    m = params.mass
-    decay = 1.0 / (2.0 * params.alpha**2 * (4.0 + g * g))
-    half = math.sqrt(WINDOW_LOG / decay) / (2.0 * l)
-    mid = 0.5 * (float(np.min(qb)) + float(np.max(qb)))
-    spread = 0.5 * (float(np.max(qb)) - float(np.min(qb))) / (2.0 * l)
-    drift = mid - fixed.q + (fixed.p + pb) * t / (2.0 * m)
-    k_center = -drift / (2.0 * l)
-    k = np.arange(math.floor(k_center - half - spread) - 2,
-                  math.ceil(k_center + half + spread) + 3)
-    vals = overlap_core(params, fixed.q, fixed.p,
-                        qb[:, None] + 2.0 * l * k[None, :], pb, t)
-    return np.sum(vals, axis=1)
 
 
 # ---------------------------------------------------------------------------

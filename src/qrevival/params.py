@@ -88,18 +88,6 @@ class PhasePoint:
             raise DomainError(f"phase point must be finite, got {self!r}")
 
 
-@dataclass(frozen=True)
-class EvolutionFactor:
-    """The pair (gamma, t) with gamma = hbar*t / (2 m alpha^2)."""
-
-    gamma: float
-    t: float
-
-    @classmethod
-    def from_time(cls, params: PhysicalParams, t: float) -> "EvolutionFactor":
-        return cls(params.gamma(t), t)
-
-
 def wrap_position(q: float, half_length: float) -> float:
     """Reduce q into the fundamental domain [-l, l)."""
     l = half_length

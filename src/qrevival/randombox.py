@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -287,14 +287,3 @@ def time_average_density(model: RandomBoxModel, x, t_start: float | None
                          np.conjugate(basis)).real
         out[inside] += w * fv * dens
     return out
-
-
-@dataclass(frozen=True)
-class SizeAverageCheck:
-    """Result bundle for the limit-identity diagnostics."""
-
-    x: np.ndarray
-    p_inf: np.ndarray
-    uniform: np.ndarray
-    delta: np.ndarray
-    identity_residual: float = field(default=0.0)

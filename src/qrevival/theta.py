@@ -1,13 +1,20 @@
 """Free-line Gaussian packets and the Jacobi theta series.
 
-Everything on the circle and in the box reduces to three kernels:
+Everything on the circle and in the box reduces to these kernels:
 
 * ``theta``          -- theta(z, tau) = sum_k exp(-pi tau k^2 + 2 pi i k z),
   Re tau > 0, with a single modular reduction into the fast-converging
   regime when Re tau < 1;
 * ``gaussian_packet`` -- the freely evolving minimal packet eta_{qp,t};
 * ``gaussian_overlap`` -- the closed-form scalar product
-  (eta_{qp}, eta_{q'p',t}).
+  (eta_{qp}, eta_{q'p',t});
+* ``periodized_overlap`` -- the theta-type image sum
+  sum_n (eta_{qp}, eta_{q'+n L, p', t}) over a period L.  Circle overlaps
+  are this sum with L = 2l; box overlaps are the same sum on the doubled
+  circle (L = 4l) minus its wall mirror.
+
+``image_window`` is the one truncation rule for every Gaussian-weighted
+lattice sum (image shifts and Fourier modes alike).
 """
 
 from __future__ import annotations
@@ -22,6 +29,12 @@ from .params import DomainError, PhasePoint, PhysicalParams, RangeError
 # Tail rule shared by every Gaussian-weighted series in the package:
 # stop once the next term falls below TAIL_REL * (|partial sum| + 1).
 TAIL_REL = 1e-16
+
+# Lattice sums keep every term whose Gaussian weight is above
+# e^-WINDOW_LOG (~4e-18), plus one term of padding on each side.
+WINDOW_LOG = 40.0
+# Entries of one (labels x images) block of the periodized overlap.
+BLOCK_CAP = 2**22
 
 _EXP_CAP = 709.0  # log of the largest finite double
 
@@ -139,12 +152,12 @@ def dispersion(params: PhysicalParams, t: float) -> float:
                       params.hbar * t / (2.0 * params.mass * params.alpha))
 
 
-def overlap_core(params: PhysicalParams, q: float, p: float, qb, pb, t: float):
-    """Closed-form (eta_{qp}, eta_{q'p',t}) with array support in (q', p').
+def overlap_core(params: PhysicalParams, q, p, qb, pb, t: float):
+    """Closed-form (eta_{qp}, eta_{q'p',t}) with array support in all labels.
 
     Returns
     -------
-    complex scalar or ndarray broadcast over ``qb``, ``pb``.
+    complex scalar or ndarray broadcast over ``q``, ``p``, ``qb``, ``pb``.
     """
     a2 = params.alpha**2
     g = params.gamma(t)
@@ -167,3 +180,67 @@ def gaussian_overlap(params: PhysicalParams, a: PhasePoint, b: PhasePoint,
                      t: float = 0.0) -> complex:
     """Scalar product (eta_a, eta_{b,t}) of free-line packets, in closed form."""
     return complex(overlap_core(params, a.q, a.p, b.q, b.p, t))
+
+
+def image_window(decay: float, lo: float, hi: float, period: float
+                 ) -> tuple[int, int]:
+    """Inclusive range (n_lo, n_hi) of lattice indices that can matter.
+
+    Keeps every n for which exp(-decay (d + n period)^2) is above
+    e^-WINDOW_LOG for some offset d in [lo, hi], padded by one index on
+    each side.
+    """
+    reach = math.sqrt(WINDOW_LOG / decay)
+    return (math.floor((-hi - reach) / period) - 1,
+            math.ceil((reach - lo) / period) + 1)
+
+
+def _shifts(decay: float, drift: np.ndarray, period: float) -> np.ndarray:
+    """Image shifts n * period for offsets spanning ``drift``."""
+    n_lo, n_hi = image_window(decay, float(np.min(drift)),
+                              float(np.max(drift)), period)
+    return period * np.arange(n_lo, n_hi + 1)
+
+
+def _image_sum(params: PhysicalParams, q, p, qb, pb, t: float,
+               shifts: np.ndarray) -> np.ndarray:
+    """Overlaps summed over the image shifts, on a new last axis."""
+    def col(v):
+        return v[..., None] if isinstance(v, np.ndarray) else v
+    vals = overlap_core(params, col(q), col(p), col(qb) + shifts, col(pb), t)
+    return vals.sum(axis=-1)
+
+
+def periodized_overlap(params: PhysicalParams, q, p, qb, pb, t: float,
+                       period: float):
+    """Image sum sum_n (eta_{qp}, eta_{qb + n period, pb, t}).
+
+    The labels are floats or ndarrays that broadcast against each other;
+    the result has their broadcast shape (a complex scalar when all are
+    floats).  The image window follows the spread of the labels, so
+    batching a grid differently changes the sum only by rounding.  Work
+    above BLOCK_CAP (labels x images) entries is split into blocks along
+    the first axis, each with its own window.
+    """
+    g = params.gamma(t)
+    # The overlap decays as exp(-decay d^2) in the centre offset d.
+    decay = 1.0 / (2.0 * params.alpha**2 * (4.0 + g * g))
+    drift = qb - q + (p + pb) * (t / (2.0 * params.mass))
+    if not isinstance(drift, np.ndarray) or drift.ndim == 0:
+        # Scalar labels skip the array path, whose fixed cost would
+        # double a single call (box_norm_sq makes thousands of them).
+        n_lo, n_hi = image_window(decay, drift, drift, period)
+        shifts = qb + period * np.arange(n_lo, n_hi + 1)
+        return overlap_core(params, q, p, shifts, pb, t).sum()
+    shifts = _shifts(decay, drift, period)
+    rows = max(1, BLOCK_CAP * len(drift) // (drift.size * len(shifts)))
+    if rows >= len(drift):
+        return _image_sum(params, q, p, qb, pb, t, shifts)
+    out = np.empty(drift.shape, dtype=complex)
+    for i in range(0, len(drift), rows):
+        block = slice(i, i + rows)
+        labels = [v[block] if np.ndim(v) == drift.ndim and len(v) > 1
+                  else v for v in (q, p, qb, pb)]
+        out[block] = _image_sum(params, *labels, t,
+                                _shifts(decay, drift[block], period))
+    return out

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qrevival.circle import (as_fraction, circle_norm_sq, circle_overlap,
+from qrevival.circle import (circle_norm_sq, circle_overlap,
                              eval_state, evolve, irrational_structure,
                              limit_profile, make_circle_state,
                              profile_position_density, revival_structure,
@@ -214,8 +214,3 @@ def test_limit_profile_delta_has_no_density():
                             0.0, 0.0, "circle", par)
     with pytest.raises(MethodUnavailable):
         profile_position_density(profile, np.array([0.0]))
-
-
-def test_as_fraction_roundtrip():
-    assert as_fraction(3, 7) == Fraction(3, 7)
-    assert as_fraction(1, 4) == Fraction(1, 4)

@@ -11,12 +11,11 @@ from qrevival.cli import (ConfigError, ScenarioConfig, emit_config, main,
                           parse_config, verify_manifest)
 
 
-def run_cli(tmp_path, command, config, extra=()):
+def run_cli(tmp_path, command, config):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    code = main([command, "--config", str(cfg_path), "--out", str(out),
-                 *extra])
+    code = main([command, "--config", str(cfg_path), "--out", str(out)])
     return code, out
 
 
@@ -44,6 +43,8 @@ def test_validation_messages_name_fields():
         parse_config({"command": "evolve", "times": []})
     with pytest.raises(ConfigError, match="levels"):
         parse_config({"command": "sweep", "levels": 2})
+    with pytest.raises(ConfigError, match="levels"):
+        parse_config({"command": "sweep", "levels": 3})
 
 
 def test_evolve_revival_round(tmp_path):
@@ -106,7 +107,7 @@ def test_determinism_byte_identical(tmp_path):
     (tmp_path / "config.json").unlink()
     sub = tmp_path / "second"
     sub.mkdir()
-    _, out2 = run_cli(sub, "evolve", config, extra=["--threads", "4"])
+    _, out2 = run_cli(sub, "evolve", config)
     assert (out1 / "density.csv").read_bytes() \
         == (out2 / "density.csv").read_bytes()
 

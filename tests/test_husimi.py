@@ -187,20 +187,21 @@ def test_pair_profile_against_grid_quadrature():
         assert abs(pair_profile(fam, idx, profile) - grid) < 1e-9
 
 
-def test_transition_grid_matches_pointwise():
+@pytest.mark.parametrize("domain", ["circle", "box"])
+def test_transition_grid_matches_pointwise(domain):
     from qrevival.circle import transition_density
     par = PhysicalParams(0.1, 1.0, 0.3, L)
     fixed = PhasePoint(0.2, 1.0)
     t = 0.6
     p_nodes = np.array([0.8, 1.1])
-    grid = transition_grid(par, fixed, t, "circle", 16, p_nodes)
+    grid = transition_grid(par, fixed, t, domain, 16, p_nodes)
     q = -L + 2.0 * L / 16 * (np.arange(16) + 0.5)
     for i in (0, 7, 15):
         for j in (0, 1):
             want = transition_density(par, fixed,
                                       PhasePoint(float(q[i]),
                                                  float(p_nodes[j])),
-                                      t, "circle")
+                                      t, domain)
             assert abs(grid[i, j] - want) < 1e-12 * (1.0 + want)
 
 

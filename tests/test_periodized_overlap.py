@@ -1,0 +1,155 @@
+"""The periodized-overlap kernel behind every circle and box overlap.
+
+Closed forms are checked against the quadrature oracle, including the
+large spreading factors of the revival schedules, and the blocked and
+batched evaluation paths are checked against unblocked, pointwise ones.
+"""
+
+import importlib
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qrevival.box import box_coefficients, box_overlap
+from qrevival.circle import circle_overlap
+from qrevival.husimi import (DensityOperatorMixture, husimi, husimi_grid,
+                             make_schedule)
+from qrevival.oracles import QuadratureSpec, circle_state_callable, \
+    quad_inner
+from qrevival.params import PhasePoint, PhysicalParams
+
+# The module, not the theta function the package re-exports.
+theta = importlib.import_module("qrevival.theta")
+L = math.pi
+SPEC = QuadratureSpec(subdivisions=16)
+CASES = settings(max_examples=20, deadline=None, derandomize=True,
+                 database=None)
+
+
+def box_state_callable(params, phase, t=0.0):
+    """Time-t box coherent state from its sine coefficients."""
+    b = box_coefficients(params, phase)
+    l = params.half_length
+    k = np.arange(1, len(b) + 1)
+    bk = b * np.exp(-1j * params.hbar * t * (math.pi * k / (2.0 * l)) ** 2
+                    / (2.0 * params.mass))
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return (np.sin(math.pi * np.outer(x - l, k) / (2.0 * l)) @ bk) \
+            / math.sqrt(l)
+
+    return fn
+
+
+def oracle_overlap(params, domain, a, b, t):
+    l = params.half_length
+    if domain == "circle":
+        return quad_inner(circle_state_callable(params, a),
+                          circle_state_callable(params, b, t), (-l, l), SPEC)
+    return quad_inner(box_state_callable(params, a),
+                      box_state_callable(params, b, t), (-l, l), SPEC)
+
+
+def closed_overlap(params, domain, a, b, t):
+    if domain == "circle":
+        return circle_overlap(params, a, b, t)
+    return box_overlap(params, a, b, t)
+
+
+@pytest.mark.parametrize("domain", ["circle", "box"])
+def test_overlap_at_revival_spreading(domain):
+    # Level 0 of the c = 1/2 revival schedule: gamma ~ 700 on the circle
+    # and ~ 2800 in the box.
+    base = PhysicalParams(0.05, 1.0, 0.3 * math.sqrt(0.05), L)
+    level = make_schedule(Fraction(1, 2), 0.0, base, 3, domain,
+                          p_ref=2.0).levels[0]
+    par, t = level.params, level.t
+    gamma = par.gamma(t)
+    assert 650.0 < gamma < 750.0 if domain == "circle" \
+        else 2700.0 < gamma < 2900.0
+    for a, b in ((PhasePoint(0.3, 2.0), PhasePoint(-1.1, 1.9)),
+                 (PhasePoint(-2.0, -1.5), PhasePoint(2.5, 2.2))):
+        got = closed_overlap(par, domain, a, b, t)
+        want = oracle_overlap(par, domain, a, b, t)
+        assert abs(got - want) < 1e-10
+
+
+@CASES
+@given(alpha_rel=st.floats(0.05, 0.2), l=st.floats(1.0, 4.0),
+       t=st.floats(0.0, 50.0), q_rel=st.floats(-0.95, 0.95),
+       qb_rel=st.floats(-0.95, 0.95), p=st.floats(-2.0, 2.0),
+       pb=st.floats(-2.0, 2.0), domain=st.sampled_from(["circle", "box"]))
+def test_overlap_against_quadrature(alpha_rel, l, t, q_rel, qb_rel, p, pb,
+                                    domain):
+    par = PhysicalParams(0.05, 1.0, alpha_rel * l, l)
+    a = PhasePoint(q_rel * l, p)
+    b = PhasePoint(qb_rel * l, pb)
+    got = closed_overlap(par, domain, a, b, t)
+    want = oracle_overlap(par, domain, a, b, t)
+    assert abs(got - want) < 1e-10
+
+
+def _mixture(domain, t):
+    par = PhysicalParams(0.1, 1.0, 0.3, L)
+    atoms = ((0.4, PhasePoint(0.2, 1.0)), (0.3, PhasePoint(-1.5, 0.7)),
+             (0.2, PhasePoint(2.4, -1.2)), (0.1, PhasePoint(-0.3, 1.6)))
+    return DensityOperatorMixture(par, domain, atoms).evolved(t)
+
+
+def _grid(nq, npv):
+    q = -L + 2.0 * L / nq * (np.arange(nq) + 0.5)
+    return q, np.linspace(-2.0, 2.0, npv)
+
+
+@pytest.mark.parametrize("domain", ["circle", "box"])
+@pytest.mark.parametrize("cap", [1, 200])
+def test_blocked_husimi_grid_matches_single_block(domain, cap, monkeypatch):
+    rho = _mixture(domain, 3.7)
+    q, p = _grid(40, 5)
+    whole = husimi_grid(rho, q, p)
+    blocks = []
+    image_sum = theta._image_sum
+
+    def counting(*args):
+        blocks.append(args)
+        return image_sum(*args)
+
+    monkeypatch.setattr(theta, "_image_sum", counting)
+    monkeypatch.setattr(theta, "BLOCK_CAP", cap)
+    blocked = husimi_grid(rho, q, p)
+    calls_per_column = 1 if domain == "circle" else 2
+    assert len(blocks) > calls_per_column * len(p)
+    assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(whole)
+
+
+@pytest.mark.parametrize("domain", ["circle", "box"])
+def test_husimi_grid_batching_agrees_to_rounding(domain):
+    rho = _mixture(domain, 1.3)
+    q, p = _grid(40, 7)
+    grid = husimi_grid(rho, q, p)
+    pointwise = np.array([[husimi(rho, PhasePoint(float(qi), float(pj)))
+                           for pj in p] for qi in q])
+    assert np.max(np.abs(grid - pointwise)) <= 1e-15 * np.max(grid)
+
+
+@pytest.mark.parametrize("cap", [2**22, 40])
+def test_broadcast_labels_match_scalar_calls(cap, monkeypatch):
+    # Second labels spread over five periods, so each block needs its
+    # own image window.
+    par = PhysicalParams(0.1, 1.0, 0.3, L)
+    qb = np.linspace(-5.0 * L, 5.0 * L, 23)
+    pb = np.array([0.5, 1.5])
+    scalar = np.array([[theta.periodized_overlap(par, 0.2, 1.0, float(x),
+                                                 float(y), 2.0, 2.0 * L)
+                        for y in pb] for x in qb])
+    assert np.ndim(scalar[0, 0]) == 0
+    monkeypatch.setattr(theta, "BLOCK_CAP", cap)
+    grid = theta.periodized_overlap(par, 0.2, 1.0, qb[:, None], pb, 2.0,
+                                    2.0 * L)
+    assert grid.shape == (len(qb), len(pb))
+    assert np.max(np.abs(grid - scalar)) <= 1e-15 * np.max(np.abs(scalar))
