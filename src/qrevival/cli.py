@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .box import box_norm_sq, make_box_state
+from .box import make_box_state
 from .circle import (circle_norm_sq, circle_overlap, eval_state, evolve,
                      limit_profile, make_circle_state, revival_structure,
                      time_scales, wrap_position)
@@ -41,7 +41,7 @@ from .oracles import (PhaseGridSpec, QuadratureSpec, circle_state_callable,
                       quad_inner, resolution_residual)
 from .params import (CapacityError, ContractViolation, DomainError,
                      PhasePoint, PhysicalParams, RangeError)
-from .randombox import (RandomBoxModel, delta_correction, p_inf, p_xt,
+from .randombox import (RandomBoxModel, delta_correction, p_xt,
                         time_average_density, uniform_part)
 from .theta import theta
 
@@ -546,7 +546,9 @@ def cmd_limitdist(cfg: ScenarioConfig, emitter: Emitter) -> int:
     x = np.linspace(-hi, hi, cfg.grid)
     un = uniform_part(model, x)
     de = delta_correction(model, x)
-    pi = p_inf(model, x)
+    # The expression p_inf(method="spectral") evaluates, without
+    # computing both parts again.
+    pi = un - de
     columns = ["x (length)", "p_inf (1/length)", "uniform (1/length)",
                "delta (1/length)"]
     data = [x, pi, un, de]

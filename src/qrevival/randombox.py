@@ -5,10 +5,15 @@ position density P(x, t) averages |psi_l(x, t)|^2 over f; unlike the
 fixed-size box it is not periodic in time and settles (in time average)
 to a limit P_inf(x) that splits into a "uniform part" minus a
 state-dependent correction Delta(x).
+
+Every density is a Gauss-Legendre average over l, computed in one batch:
+one coefficient table for all nodes (``RandomBoxModel.coefficient_table``)
+and node x point x mode kernels evaluated on blocks of nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,9 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-from .box import box_coefficients, box_norm_sq
-from .params import ContractViolation, DomainError, PhasePoint, \
-    PhysicalParams
+from .circle import _mode_window
+from .params import ContractViolation, DomainError, PhysicalParams
+
+# Entries of one (nodes x points x modes) block of the size quadrature.
+NODE_BLOCK_CAP = 2**18
 
 
 @dataclass(frozen=True)
@@ -76,15 +83,46 @@ class RandomBoxModel:
 
     def coefficients_for(self, l: float) -> np.ndarray:
         """Unit-normalized sine-basis coefficients of psi_l (modes 1..K)."""
-        par = self.params_for(l)
+        return self.coefficient_table([l])[1][0]
+
+    def coefficient_table(self, nodes) -> tuple[np.ndarray, np.ndarray]:
+        """Sine-basis coefficients of psi_l for every half-size in ``nodes``.
+
+        Returns (k, B) with k = 1..K and B[n, k - 1] the unit-normalized
+        coefficient of mode k at nodes[n].  A coherent row is the closed
+        form of ``box.box_coefficients``: b_k = i (C_k - C_{-k}) from the
+        doubled-circle comb C_k of the packet at (q_rel l - l, p), kept
+        on that node's own mode window (modes outside it are exactly 0)
+        and zero-padded to the widest window K.  Rows are normalized by
+        sum |b_k|^2, which equals ``box.box_norm_sq`` up to the window
+        truncation.
+        """
+        l = np.atleast_1d(np.asarray(nodes, dtype=float))
         if self.kind == "eigenstate":
-            b = np.zeros(self.eigen_index, dtype=complex)
-            b[-1] = 1.0
-            return b
-        phase = PhasePoint(self.q_rel * l, self.p)
-        b = box_coefficients(par, phase)
-        nrm = math.sqrt(box_norm_sq(par, phase))
-        return b / nrm
+            table = np.zeros((len(l), self.eigen_index), dtype=complex)
+            table[:, -1] = 1.0
+            return np.arange(1, self.eigen_index + 1), table
+        par = self.template
+        windows = np.array([_mode_window(par, self.p, 2.0 * float(v))
+                            for v in l])
+        top = int(np.max(np.abs(windows)))
+        k = np.arange(1, top + 1)
+        # The comb of circle.circle_coefficients on half-length L = 2l.
+        big_l = 2.0 * l[:, None]
+        a2 = par.alpha**2
+        pref = (math.pi * a2 / (2.0 * big_l**4)) ** 0.25 * np.sqrt(2.0 * big_l)
+        q = self.q_rel * l[:, None] - l[:, None]
+
+        def comb(kk):
+            live = (windows[:, :1] <= kk) & (kk <= windows[:, 1:])
+            c = pref * np.exp(-a2 * (math.pi * kk / big_l
+                                     - self.p / par.hbar) ** 2
+                              - 1j * math.pi * kk * q / big_l)
+            return np.where(live, c, 0.0)
+
+        table = 1j * (comb(k) - comb(-k))
+        norm_sq = np.sum(table.real**2 + table.imag**2, axis=1)
+        return k, table / np.sqrt(norm_sq)[:, None]
 
 
 def odd_periodic_extend(psi: Callable[[np.ndarray], np.ndarray], x,
@@ -102,18 +140,84 @@ def odd_periodic_extend(psi: Callable[[np.ndarray], np.ndarray], x,
     return sign * np.asarray(psi(sign * u))
 
 
-def _sine_basis(l: float, k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.sin(math.pi * np.outer(x - l, k) / (2.0 * l)) / math.sqrt(l)
+def _half_angles(l: np.ndarray, k: np.ndarray, x: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """pi k (x - l) / 2l on a (nodes x points x modes) block, and the
+    (nodes x points x 1) mask |x| <= l.  Points outside a box get angle
+    0, so the sine basis vanishes there."""
+    lc = l[:, None, None]
+    inside = np.abs(x)[:, None] <= lc
+    angles = np.where(inside, x[:, None] - lc, 0.0) * k
+    angles *= math.pi
+    angles /= 2.0 * lc
+    return angles, inside
+
+
+def _masked_sine_basis(l: np.ndarray, k: np.ndarray, x: np.ndarray
+                       ) -> np.ndarray:
+    """sin(pi k (x - l) / 2l) / sqrt(l) per node, zero outside each box."""
+    basis = np.sin(_half_angles(l, k, x)[0])
+    basis /= np.sqrt(l)[:, None, None]
+    return basis
+
+
+def _node_blocks(n_nodes: int, per_node: int) -> list[slice]:
+    """Node slices holding at most NODE_BLOCK_CAP entries (one node at
+    least), given the entries per node."""
+    rows = max(1, NODE_BLOCK_CAP // max(1, per_node))
+    return [slice(i, i + rows) for i in range(0, n_nodes, rows)]
+
+
+@functools.lru_cache(maxsize=16)
+def _legendre_gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the three-term Legendre recurrence, started from
+    Tricomi's estimates of the non-negative nodes and mirrored; O(n^2)
+    work, against O(n^3) for the companion-matrix eigensolve.  For odd n
+    the middle node is exactly 0.  The arrays are shared between callers
+    and read-only.
+    """
+    i = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) \
+        * np.cos(math.pi * (4 * i - 1) / (4 * n + 2))
+    x[n // 2:] = 0.0
+
+    def legendre(x):
+        """P_n(x) and P_n'(x)."""
+        p_prev, p = np.ones_like(x), x
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+    # Quadratic convergence: three steps reach rounding from Tricomi's
+    # estimates for every n tested up to 4097.
+    for _ in range(10):
+        p, dp = legendre(x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-14:
+            break
+    _, dp = legendre(x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    h = n // 2
+    nodes = np.concatenate([-x[:h], np.zeros(n % 2), x[:h][::-1]])
+    weights = np.concatenate([w[:h], w[h:], w[:h][::-1]])
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _gl_nodes(model: RandomBoxModel, t: float, order: int | None = None
               ) -> tuple[np.ndarray, np.ndarray, int]:
     """Gauss-Legendre nodes/weights over the f support.
 
-    The order grows until the fastest retained spectral phase difference
-    changes by less than pi/8 between adjacent nodes at the requested
-    time.  The density only sees frequency differences, so a single-mode
-    state never escalates the order.
+    The order is picked first: from 129 (or ``order``) it grows as
+    2 order - 1, up to 4097, until the fastest retained spectral phase
+    difference changes by less than pi/8 between adjacent nodes at the
+    requested time.  The density only sees frequency differences, so a
+    single-mode state never escalates the order.  Nodes are then
+    computed once, for that order only.
     """
     lo, hi = model.support
     par = model.template
@@ -122,23 +226,23 @@ def _gl_nodes(model: RandomBoxModel, t: float, order: int | None = None
     live = np.nonzero(np.abs(b0) > 0.0)[0] + 1
     k_lo = int(live[0]) if len(live) else 1
     k_hi = int(live[-1]) if len(live) else 1
+    # d/dl of hbar pi^2 (k_hi^2 - k_lo^2) t / (8 m l^2) is
+    # -(2/l) times the phase difference.
+    phase_slope = par.hbar * math.pi**2 * (k_hi**2 - k_lo**2) * abs(t) \
+        / (4.0 * par.mass * lo**3)
     while True:
-        x0, w0 = np.polynomial.legendre.leggauss(order)
-        nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x0
-        weights = 0.5 * (hi - lo) * w0
-        dl = (hi - lo) / order
-        # d/dl of hbar pi^2 (k_hi^2 - k_lo^2) t / (8 m l^2) is
-        # -(2/l) times the phase difference.
-        phase_slope = par.hbar * math.pi**2 * (k_hi**2 - k_lo**2) * abs(t) \
-            / (4.0 * par.mass * lo**3)
-        if phase_slope * dl < math.pi / 8.0 or order >= 4097:
-            if phase_slope * dl >= math.pi / 8.0:
-                warnings.warn(
-                    "size quadrature order capped at 4097 but the "
-                    f"spectral phase still varies by {phase_slope * dl:.2f} "
-                    "between nodes; results may lose accuracy")
-            return nodes, weights, order
+        spread = phase_slope * ((hi - lo) / order)
+        if spread < math.pi / 8.0 or order >= 4097:
+            break
         order = 2 * order - 1
+    if spread >= math.pi / 8.0:
+        warnings.warn(
+            "size quadrature order capped at 4097 but the "
+            f"spectral phase still varies by {spread:.2f} "
+            "between nodes; results may lose accuracy")
+    x0, w0 = _legendre_gauss(order)
+    nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x0
+    return nodes, 0.5 * (hi - lo) * w0, order
 
 
 def p_xt(model: RandomBoxModel, x, t: float,
@@ -154,18 +258,18 @@ def p_xt(model: RandomBoxModel, x, t: float,
     else:
         nodes, weights, _ = _gl_nodes(model, 0.0, order)
     par = model.template
+    k, table = model.coefficient_table(nodes)
+    wf = weights * model.f_density(nodes)
     out = np.zeros_like(x)
-    fvals = model.f_density(nodes)
-    for l, w, fv in zip(nodes, weights, fvals):
-        b = model.coefficients_for(float(l))
-        k = np.arange(1, len(b) + 1)
+    for blk in _node_blocks(len(nodes), len(x) * len(k)):
+        l = nodes[blk]
         phases = np.exp(-1j * par.hbar * t
-                        * (math.pi * k / (2.0 * l)) ** 2 / (2.0 * par.mass))
-        inside = np.abs(x) <= l
-        if not np.any(inside):
-            continue
-        psi = _sine_basis(float(l), k, x[inside]) @ (b * phases)
-        out[inside] += w * fv * np.abs(psi) ** 2
+                        * (math.pi * k / (2.0 * l[:, None])) ** 2
+                        / (2.0 * par.mass))
+        c = table[blk] * phases
+        # Real basis times (Re c, Im c): psi's real and imaginary parts.
+        psi = _masked_sine_basis(l, k, x) @ np.stack([c.real, c.imag], -1)
+        out += wf[blk] @ np.sum(psi * psi, axis=-1)
     return out
 
 
@@ -173,10 +277,10 @@ def uniform_part(model: RandomBoxModel, x) -> np.ndarray:
     """The flat component integral of chi_l(x) f(l) / (2l) over l."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     nodes, weights, _ = _gl_nodes(model, 0.0)
-    fvals = model.f_density(nodes)
+    wf = weights * model.f_density(nodes) / (2.0 * nodes)
     out = np.zeros_like(x)
-    for l, w, fv in zip(nodes, weights, fvals):
-        out += np.where(np.abs(x) <= l, w * fv / (2.0 * l), 0.0)
+    for blk in _node_blocks(len(nodes), len(x)):
+        out += wf[blk] @ (np.abs(x) <= nodes[blk, None])
     return out
 
 
@@ -188,16 +292,14 @@ def delta_correction(model: RandomBoxModel, x) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     nodes, weights, _ = _gl_nodes(model, 0.0)
-    fvals = model.f_density(nodes)
+    k, table = model.coefficient_table(nodes)
+    power = table.real**2 + table.imag**2
+    wf = weights * model.f_density(nodes) / (2.0 * nodes)
     out = np.zeros_like(x)
-    for l, w, fv in zip(nodes, weights, fvals):
-        b = model.coefficients_for(float(l))
-        k = np.arange(1, len(b) + 1)
-        inside = np.abs(x) <= l
-        if not np.any(inside):
-            continue
-        cosses = np.cos(math.pi * np.outer(x[inside] - l, k) / l)
-        out[inside] += w * fv / (2.0 * l) * (cosses @ np.abs(b) ** 2)
+    for blk in _node_blocks(len(nodes), len(x) * len(k)):
+        angles, inside = _half_angles(nodes[blk], k, x)
+        cosses = np.cos(2.0 * angles) * inside
+        out += wf[blk] @ (cosses @ power[blk, :, None])[..., 0]
     return out
 
 
@@ -223,11 +325,11 @@ def p_inf(model: RandomBoxModel, x, method: str = "spectral") -> np.ndarray:
         k = np.arange(1, len(b) + 1)
         ng = max(512, 16 * len(b))
         yg = -l + 2.0 * l / ng * (np.arange(ng) + 0.5)
-        basis = _sine_basis(l, k, yg)
-        psig = basis @ b
+        psig = _masked_sine_basis(np.array([l]), k, yg)[0] @ b
 
         def psi_call(y, l=l, b=b, k=k):
-            return _sine_basis(l, k, np.atleast_1d(y)) @ b
+            return _masked_sine_basis(np.array([l]), k,
+                                      np.atleast_1d(y))[0] @ b
 
         inside = np.abs(x) <= l
         for i in np.nonzero(inside)[0]:
@@ -248,12 +350,16 @@ def time_average_density(model: RandomBoxModel, x, t_start: float | None
     [t_start, t_start + window].
 
     Defaults: t_start = 10 T_rev(l_center), window = 40 T_rev(l_center).
-    The sample average of each oscillating mode pair is a geometric sum,
-    evaluated in closed form; for a fixed set of size-quadrature nodes
-    the result is identical (up to rounding) to brute-force averaging of
-    the sampled densities.  The averaged kernel is smooth on the mode
-    diagonal and strongly damped off it, so a fixed ``order`` replaces
-    the single-time node-spacing rule.
+    With dt = window / n_samples, the sample mean of each mode pair's
+    phase exp(-i dw (t_start + j dt)), j < n_samples, has the Dirichlet
+    closed form exp(-i dw (t_start + (n - 1) dt / 2))
+    sin(n dw dt / 2) / (n sin(dw dt / 2)), exact also when dw dt is
+    close to a multiple of 2 pi.  For a fixed set of size-quadrature
+    nodes the result therefore equals brute-force averaging of the
+    sampled densities to rounding (tested against the sample mean of
+    ``p_xt``).  The averaged kernel is smooth on the mode diagonal and
+    strongly damped off it, so a fixed ``order`` replaces the
+    single-time node-spacing rule.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     par = model.template
@@ -264,26 +370,26 @@ def time_average_density(model: RandomBoxModel, x, t_start: float | None
     if window is None:
         window = 40.0 * t_rev
     dt = window / n_samples
+    t_mid = t_start + 0.5 * (n_samples - 1) * dt
     nodes, weights, _ = _gl_nodes(model, 0.0, order)
-    fvals = model.f_density(nodes)
+    k, table = model.coefficient_table(nodes)
+    wf = weights * model.f_density(nodes)
     out = np.zeros_like(x)
-    for l, w, fv in zip(nodes, weights, fvals):
-        l = float(l)
-        b = model.coefficients_for(l)
-        k = np.arange(1, len(b) + 1)
-        omega = par.hbar * (math.pi * k / (2.0 * l)) ** 2 / (2.0 * par.mass)
-        dw = omega[:, None] - omega[None, :]
-        # Mean of exp(-i dw (t_start + j dt)) over j = 0..n-1.
-        z = np.exp(-1j * dw * dt)
-        num = np.where(np.isclose(z, 1.0), n_samples + 0j,
-                       (1.0 - z**n_samples) / np.where(z == 1.0, 1.0, 1.0 - z))
-        kernel = np.exp(-1j * dw * t_start) * num / n_samples
-        inside = np.abs(x) <= l
-        if not np.any(inside):
-            continue
-        basis = _sine_basis(l, k, x[inside])
-        weighted = (b[:, None] * np.conjugate(b[None, :])) * kernel
-        dens = np.einsum("xk,kl,xl->x", basis, weighted,
-                         np.conjugate(basis)).real
-        out[inside] += w * fv * dens
+    for blk in _node_blocks(len(nodes), max(len(x), len(k)) * len(k)):
+        l = nodes[blk]
+        omega = par.hbar * (math.pi * k / (2.0 * l[:, None])) ** 2 \
+            / (2.0 * par.mass)
+        dw = omega[:, :, None] - omega[:, None, :]
+        half = 0.5 * dt * dw
+        den = n_samples * np.sin(half)
+        dirichlet = np.divide(np.sin(n_samples * half), den,
+                              out=np.ones_like(den), where=den != 0.0)
+        # exp(-i dw t_mid) factors into per-mode phases.  The averaged
+        # kernel is Hermitian and the basis real, so only its real part
+        # reaches the density.
+        c = table[blk] * np.exp(-1j * omega * t_mid)
+        kernel = (c.real[:, :, None] * c.real[:, None, :]
+                  + c.imag[:, :, None] * c.imag[:, None, :]) * dirichlet
+        basis = _masked_sine_basis(l, k, x)
+        out += wf[blk] @ np.sum((basis @ kernel) * basis, axis=-1)
     return out

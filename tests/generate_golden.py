@@ -16,7 +16,6 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from qrevival.circle import circle_coefficients  # noqa: E402
 from qrevival.box import box_coefficients  # noqa: E402
 from qrevival.oracles import (QuadratureSpec, circle_state_callable,  # noqa: E402
                               quad_inner, write_golden)

@@ -2,13 +2,12 @@
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
 
-from qrevival.cli import (ConfigError, ScenarioConfig, emit_config, main,
-                          parse_config, verify_manifest)
+from qrevival.cli import (ConfigError, emit_config, main, parse_config,
+                          verify_manifest)
 
 
 def run_cli(tmp_path, command, config):

@@ -6,16 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qrevival.circle import limit_profile, revival_structure, time_scales
-from qrevival.husimi import (ClassicalDensity, DensityOperatorMixture,
-                             TestFamily, classical_transport, density_mass,
+from qrevival.circle import limit_profile, revival_structure
+from qrevival.husimi import (DensityOperatorMixture, TestFamily,
+                             classical_transport, density_mass,
                              gaussian_mixture_density, grid_density,
                              husimi, husimi_grid, kozlov_limit,
                              make_schedule, pair_classical, pair_profile,
-                             pair_sampled, residual_trend_ok,
-                             rho_from_classical, transition_grid)
+                             residual_trend_ok, rho_from_classical,
+                             transition_grid)
 from qrevival.params import (ContractViolation, DomainError, PhasePoint,
-                             PhysicalParams, wrap_position)
+                             PhysicalParams)
 
 L = math.pi
 

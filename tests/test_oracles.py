@@ -8,7 +8,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from qrevival.circle import make_circle_state, time_scales
+from qrevival.circle import make_circle_state
 from qrevival.oracles import (PhaseGridSpec, QuadratureSpec, bounce_trajectory,
                               brute_evolve, config_hash, quad_inner,
                               read_golden, resolution_residual, write_golden)

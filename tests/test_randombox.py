@@ -1,14 +1,17 @@
 """Random-half-size box: limit identity, cross-checked paths, averages."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from qrevival.params import DomainError, PhysicalParams
-from qrevival.randombox import (RandomBoxModel, delta_correction,
-                                odd_periodic_extend, p_inf, p_xt,
-                                time_average_density, uniform_part)
+from qrevival import randombox
+from qrevival.box import box_coefficients, box_norm_sq
+from qrevival.params import DomainError, PhasePoint, PhysicalParams
+from qrevival.randombox import (RandomBoxModel, _gl_nodes, _legendre_gauss,
+                                delta_correction, odd_periodic_extend, p_inf,
+                                p_xt, time_average_density, uniform_part)
 
 PAR = PhysicalParams(0.05, 1.0, 0.2, 1.0)
 
@@ -25,7 +28,6 @@ def test_support_validation():
 
 
 def test_size_density_normalized():
-    from qrevival.randombox import _gl_nodes
     m = _coherent_model()
     nodes, w, _ = _gl_nodes(m, 0.0)
     assert abs(float(np.sum(w * m.f_density(nodes))) - 1.0) < 1e-13
@@ -112,3 +114,117 @@ def test_time_average_matches_p_inf():
     ta = time_average_density(m, x)
     pi = p_inf(m, x)
     assert np.max(np.abs(ta - pi)) < 0.01 * np.max(pi)
+
+
+def _dominant_pair_dw(model):
+    # Frequency gap of the heaviest mode and its upper neighbour, at the
+    # one node (l_center) of an order-1 size quadrature.
+    k, table = model.coefficient_table([model.l_center])
+    k0 = int(k[np.argmax(np.abs(table[0]))])
+    par, l = model.template, model.l_center
+    omega = par.hbar * (math.pi * np.array([k0, k0 + 1]) / (2.0 * l)) ** 2 \
+        / (2.0 * par.mass)
+    return float(omega[1] - omega[0])
+
+
+@pytest.mark.parametrize("eps", [None, 1e-7, 3e-6])
+def test_time_average_equals_sample_mean(eps):
+    # Near-resonant steps alias the dominant mode pair to within eps of a
+    # full turn per sample; the closed form must keep the residual phase.
+    m = _coherent_model()
+    x = np.linspace(-1.05, 1.05, 61)
+    n, t_start = 64, 3.0
+    dt = 0.37 if eps is None else (2.0 * math.pi + eps) / _dominant_pair_dw(m)
+    window = n * dt
+    ta = time_average_density(m, x, t_start, window, n_samples=n, order=1)
+    step = window / n
+    brute = np.mean([p_xt(m, x, t_start + j * step, order=1)
+                     for j in range(n)], axis=0)
+    assert np.max(np.abs(ta - brute)) < 1e-11
+
+
+@pytest.mark.parametrize("n", [1, 2, 129, 1025])
+def test_legendre_gauss_matches_numpy(n):
+    x, w = _legendre_gauss(n)
+    x0, w0 = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - x0)) <= 1e-15
+    assert np.max(np.abs(w - w0)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2049, 4097])
+def test_legendre_gauss_moments(n):
+    x, w = _legendre_gauss(n)
+    for j in (0, 1, 10, 50, 100):
+        assert abs(float(np.sum(w * x ** (2 * j))) - 2.0 / (2 * j + 1)) \
+            <= 1e-14
+
+
+def test_legendre_gauss_symmetry_and_read_only():
+    x, w = _legendre_gauss(129)
+    assert x[64] == 0.0
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+def test_order_rule_and_cap_warning():
+    m = _coherent_model()
+    for t, want in ((0.0, 129), (5.0, 513), (20.0, 2049), (50.0, 4097),
+                    (100.0, 4097)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            nodes, w, order = _gl_nodes(m, t)
+        assert order == want == len(nodes) == len(w)
+        if t < 100.0:
+            assert not caught
+        else:
+            assert [str(c.message) for c in caught] == [
+                "size quadrature order capped at 4097 but the spectral "
+                "phase still varies by 0.71 between nodes; results may "
+                "lose accuracy"]
+
+
+@pytest.mark.parametrize("q_rel", [0.3, -0.45])
+def test_coefficient_table_matches_box_coefficients(q_rel):
+    m = RandomBoxModel(PAR, 1.0, 0.02, kind="coherent", q_rel=q_rel, p=1.0)
+    nodes, _, _ = _gl_nodes(m, 0.0, 2049)
+    k, table = m.coefficient_table(nodes)
+    assert np.array_equal(k, np.arange(1, table.shape[1] + 1))
+    for l, row in zip(nodes, table):
+        par = m.params_for(float(l))
+        phase = PhasePoint(q_rel * float(l), 1.0)
+        b = box_coefficients(par, phase) / math.sqrt(box_norm_sq(par, phase))
+        assert np.max(np.abs(row[:len(b)] - b)) <= 1e-14
+        assert np.array_equal(np.nonzero(row)[0], np.nonzero(b)[0])
+
+
+def test_coefficient_table_eigenstate():
+    m = RandomBoxModel(PAR, 1.0, 0.02, kind="eigenstate", eigen_index=3)
+    k, table = m.coefficient_table([0.95, 1.0, 1.05])
+    assert np.array_equal(k, [1, 2, 3])
+    assert np.array_equal(table, np.tile([0.0, 0.0, 1.0], (3, 1)))
+    assert np.array_equal(m.coefficients_for(1.0), [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("cap", [1, 500])
+def test_node_blocking_agrees(cap, monkeypatch):
+    m = _coherent_model()
+    x = np.linspace(-1.08, 1.08, 37)
+
+    def run():
+        return (p_xt(m, x, 5.0), delta_correction(m, x), uniform_part(m, x),
+                time_average_density(m, x, order=129))
+
+    monkeypatch.setattr(randombox, "NODE_BLOCK_CAP", 2**40)
+    whole = run()
+    monkeypatch.setattr(randombox, "NODE_BLOCK_CAP", cap)
+    blocks = []
+    node_blocks = randombox._node_blocks
+
+    def counting(*args):
+        blocks.append(node_blocks(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(randombox, "_node_blocks", counting)
+    for a, b in zip(run(), whole):
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+    assert all(len(b) > 1 for b in blocks)
