@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import WaveState, circle_coefficients, circle_norm_sq
+from .circle import WaveState, _mode_window, comb_coefficients
 from .params import ContractViolation, DegenerateStateError, DomainError, \
     PhasePoint, PhysicalParams
 from .theta import periodized_overlap
@@ -69,23 +69,43 @@ def _check_excluded(params: PhysicalParams, phase: PhasePoint,
                 "coherent state degenerates to zero")
 
 
-def box_coefficients(params: PhysicalParams, phase: PhasePoint):
-    """Sine-basis coefficients of the box coherent state (modes k >= 1).
+def box_coefficient_table(params: PhysicalParams, q, p, half_length
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Sine-basis coefficients of box coherent states, broadcast over labels.
 
-    Built from the doubled-circle comb C_k of the packet at (q - l, p):
+    ``q``, ``p`` and the half-length l broadcast to a label shape S;
+    ``params`` supplies hbar and alpha (its own half-length is unused).
+    Returns (k, B) with k = 1..K and B of shape S + (K,), B[..., k - 1]
+    the coefficient of mode k.  Each row is built from the
+    doubled-circle comb C_k of the packet at (q - l, p):
     b_k = i (C_k - C_{-k}), the odd part picked out by antisymmetrizing
-    across the wall.
+    across the wall.  C_k is kept on that row's own doubled-circle mode
+    window (modes outside it are exactly 0), and rows are zero-padded to
+    the widest window K.
     """
-    l = params.half_length
-    shifted = PhasePoint(phase.q - l, phase.p)
-    k_min, c = circle_coefficients(params, shifted, half_length=2.0 * l)
-    k_max = k_min + len(c) - 1
-    top = max(abs(k_min), abs(k_max))
-    full = np.zeros(2 * top + 1, dtype=complex)
-    full[k_min + top: k_max + 1 + top] = c
-    k = np.arange(1, top + 1)
-    b = 1j * (full[k + top] - full[-k + top])
-    return b
+    p, l = np.broadcast_arrays(np.asarray(p, dtype=float),
+                               np.asarray(half_length, dtype=float))
+    # The window depends on (p, l) only, not on q.
+    windows = np.array([_mode_window(params, pv, 2.0 * lv)
+                        for pv, lv in zip(p.flat, l.flat)],
+                       dtype=int).reshape(p.shape + (2,))
+    k = np.arange(1, int(np.max(np.abs(windows))) + 1)
+    q = np.asarray(q, dtype=float)[..., None]
+    p, l = p[..., None], l[..., None]
+
+    def comb(kk):
+        live = (windows[..., :1] <= kk) & (kk <= windows[..., 1:])
+        return np.where(live, comb_coefficients(params, kk, q - l, p, 2.0 * l),
+                        0.0)
+
+    return k, 1j * (comb(k) - comb(-k))
+
+
+def box_coefficients(params: PhysicalParams, phase: PhasePoint):
+    """Sine-basis coefficients of the box coherent state (modes k >= 1);
+    the single row of ``box_coefficient_table``."""
+    return box_coefficient_table(params, phase.q, phase.p,
+                                 params.half_length)[1]
 
 
 def make_box_state(params: PhysicalParams, phase: PhasePoint,
@@ -176,11 +196,9 @@ def box_overlap(params: PhysicalParams, a: PhasePoint, b: PhasePoint,
 def box_norm_sq(params: PhysicalParams, phase: PhasePoint) -> float:
     """Squared norm of the box coherent state.
 
-    The periodized-packet norm on the doubled circle minus the (real)
-    cross term with its wall reflection; exactly 0 at (+-l, 0).
+    The state's overlap with itself (``odd_overlap`` at t = 0): the
+    periodized-packet norm on the doubled circle minus the real cross
+    term with its wall reflection; exactly 0 at (+-l, 0).
     """
-    l = params.half_length
-    base = circle_norm_sq(params.doubled(), PhasePoint(phase.q - l, phase.p))
-    cross = periodized_overlap(params, phase.q - l, phase.p, l - phase.q,
-                               -phase.p, 0.0, 4.0 * l)
-    return base - cross.real
+    return float(odd_overlap(params, phase.q, phase.p, phase.q, phase.p,
+                             0.0).real)

@@ -16,7 +16,7 @@ import numpy as np
 from .params import (CapacityError, ContractViolation, DomainError,
                      MethodUnavailable, PhasePoint, PhysicalParams,
                      wrap_position)
-from .theta import (TAIL_REL, dispersion, gaussian_packet, image_window,
+from .theta import (dispersion, gaussian_packet, image_window,
                     periodized_overlap)
 
 MODE_CAP = 10**7
@@ -122,22 +122,32 @@ def _mode_window(params: PhysicalParams, p: float, half_length: float):
     return k_min, k_max
 
 
+def comb_coefficients(params: PhysicalParams, k, q, p, half_length):
+    """Gaussian-comb Fourier coefficient of the periodized packet at (q, p):
+
+    c_k = (pi a^2 / 2 l^4)^(1/4) sqrt(2 l)
+          exp{-a^2 (pi k / l - p/hbar)^2 - i pi k q / l},
+
+    broadcast over ``k``, ``q``, ``p`` and the half-length l.
+    """
+    l = half_length
+    a2 = params.alpha**2
+    pref = (math.pi * a2 / (2.0 * l**4)) ** 0.25 * np.sqrt(2.0 * l)
+    return pref * np.exp(-a2 * (math.pi * k / l - p / params.hbar) ** 2
+                         - 1j * math.pi * k * q / l)
+
+
 def circle_coefficients(params: PhysicalParams, phase: PhasePoint,
                         half_length: float | None = None):
-    """Gaussian-comb Fourier coefficients of the periodized packet.
+    """Fourier coefficients of the periodized packet on its mode window.
 
-    Returns (k_min, coefficient array) with
-    c_k = (pi a^2 / 2 l^4)^(1/4) sqrt(2 l)
-          exp{-a^2 (pi k / l - p/hbar)^2 - i pi k q / l}.
+    Returns (k_min, coefficient array) with the ``comb_coefficients``
+    c_k for k_min <= k <= k_max.
     """
     l = params.half_length if half_length is None else half_length
-    a2 = params.alpha**2
     k_min, k_max = _mode_window(params, phase.p, l)
     k = np.arange(k_min, k_max + 1)
-    pref = (math.pi * a2 / (2.0 * l**4)) ** 0.25 * math.sqrt(2.0 * l)
-    c = pref * np.exp(-a2 * (math.pi * k / l - phase.p / params.hbar) ** 2
-                      - 1j * math.pi * k * phase.q / l)
-    return k_min, c
+    return k_min, comb_coefficients(params, k, phase.q, phase.p, l)
 
 
 def make_circle_state(params: PhysicalParams, phase: PhasePoint) -> WaveState:
@@ -156,21 +166,15 @@ def make_circle_state(params: PhysicalParams, phase: PhasePoint) -> WaveState:
 
 
 def circle_norm_sq(params: PhysicalParams, phase: PhasePoint) -> float:
-    """Squared norm of the circle coherent state, as a fast theta-type sum.
+    """Squared norm of the circle coherent state.
 
-    Equals 1 + 2 sum_{k>=1} exp(-l^2 k^2 / 2 alpha^2) cos(2 p l k / hbar).
+    The packet's overlap with itself summed over its images,
+    1 + 2 sum_{k>=1} exp(-l^2 k^2 / 2 alpha^2) cos(2 p l k / hbar), taken
+    by ``periodized_overlap`` with period 2l.
     """
-    l = params.half_length
-    a2 = params.alpha**2
-    total = 1.0
-    k = 1
-    while True:
-        term = 2.0 * math.exp(-l * l * k * k / (2.0 * a2)) \
-            * math.cos(2.0 * phase.p * l * k / params.hbar)
-        total += term
-        if math.exp(-l * l * k * k / (2.0 * a2)) < TAIL_REL * (abs(total) + 1.0):
-            return total
-        k += 1
+    return float(periodized_overlap(params, phase.q, phase.p, phase.q,
+                                    phase.p, 0.0,
+                                    2.0 * params.half_length).real)
 
 
 def evolve(state: WaveState, t: float) -> WaveState:
@@ -330,10 +334,12 @@ def profile_position_density(profile: LimitProfile, x) -> np.ndarray:
         return np.full_like(x, 1.0 / (2.0 * l))
     D = profile.spread_d
     period = 2.0 * l if profile.domain == "circle" else 4.0 * l
-    n_img = int(math.ceil(6.0 * D / period)) + 1
+    n_lo, n_hi = image_window(0.5 / (D * D),
+                              min(profile.centers) - float(np.max(x)),
+                              max(profile.centers) - float(np.min(x)), period)
     out = np.zeros_like(x)
     for c in profile.centers:
-        for n in range(-n_img, n_img + 1):
+        for n in range(n_lo, n_hi + 1):
             out += profile.weight * np.exp(
                 -(x - c - n * period) ** 2 / (2.0 * D * D)) \
                 / math.sqrt(2.0 * math.pi * D * D)

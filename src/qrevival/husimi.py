@@ -17,11 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from .box import box_norm_sq, odd_overlap
-from .circle import LimitProfile, circle_norm_sq, time_scales
+from .box import odd_overlap
+from .circle import LimitProfile, time_scales
 from .params import ContractViolation, DomainError, PhasePoint, \
     PhysicalParams, wrap_position
-from .theta import periodized_overlap
+from .theta import image_window, periodized_overlap
 
 
 # ---------------------------------------------------------------------------
@@ -57,11 +57,11 @@ class DensityOperatorMixture:
                                       self.time + t)
 
     def atom_norms_sq(self) -> np.ndarray:
-        if self.domain == "circle":
-            return np.array([circle_norm_sq(self.params, ph)
-                             for _, ph in self.atoms])
-        return np.array([box_norm_sq(self.params, ph)
-                         for _, ph in self.atoms])
+        """Squared norms of the atoms' coherent states: each atom's
+        overlap with itself, in one broadcast call."""
+        q = np.array([ph.q for _, ph in self.atoms])
+        p = np.array([ph.p for _, ph in self.atoms])
+        return _overlaps(self.params, self.domain, q, p, q, p, 0.0).real
 
 
 def husimi(rho: DensityOperatorMixture, phase: PhasePoint) -> float:
@@ -172,8 +172,10 @@ def gaussian_mixture_density(domain: str, half_length: float, mass: float,
     def base(q, p):
         out = np.zeros(np.broadcast(q, p).shape)
         for w, q0, p0, sq, sp in components:
+            n_lo, n_hi = image_window(0.5 / (sq * sq), q0 - float(np.max(q)),
+                                      q0 - float(np.min(q)), period)
             qacc = np.zeros_like(out)
-            for n in range(-3, 4):
+            for n in range(n_lo, n_hi + 1):
                 qacc += np.exp(-(q - q0 - n * period) ** 2 / (2.0 * sq * sq))
             out += (w / total) * qacc \
                 * np.exp(-(p - p0) ** 2 / (2.0 * sp * sp)) \
@@ -413,11 +415,12 @@ def pair_profile(family: TestFamily, index: int, profile: LimitProfile
     n = 4096
     qbox = -l + 2.0 * l / n * (np.arange(n) + 0.5)
     dens = np.zeros(n)
-    n_img = int(math.ceil(1.5 * D / l)) + 1
     centers = list(profile.centers) \
         + [wrap_position(2.0 * l - c, 2.0 * l) for c in profile.centers]
+    m_lo, m_hi = image_window(0.5 / (D * D), min(centers) - l,
+                              max(centers) + l, 4.0 * l)
     for c in centers:
-        for m in range(-n_img, n_img + 1):
+        for m in range(m_lo, m_hi + 1):
             dens += profile.weight * np.exp(
                 -(qbox - c - 4.0 * m * l) ** 2 / (2.0 * D * D)) \
                 / math.sqrt(2.0 * math.pi * D * D)

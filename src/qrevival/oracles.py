@@ -2,7 +2,8 @@
 
 Nothing here reuses the series shortcuts of the other modules: inner
 products are adaptive quadratures, evolution is direct eigenprojection,
-and the phase-space completeness check reconstructs states from scratch.
+and the phase-space completeness check reconstructs states by summing
+the coherent states' closed-form coefficients over a phase-space grid.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import WaveState, circle_coefficients
+from .box import box_coefficient_table
+from .circle import WaveState, circle_coefficients, comb_coefficients
 from .params import ContractViolation, OracleFailure, PhasePoint, \
     PhysicalParams
 
@@ -170,19 +172,15 @@ def _coefficient_matrix(params: PhysicalParams, domain: str,
     Returns an (nq, nk) matrix of spectral coefficients of the coherent
     state labelled (q_i, p), in the same basis as the target state.
     """
-    l = params.half_length
-    a2 = params.alpha**2
     if domain == "circle":
-        pref = (math.pi * a2 / (2.0 * l**4)) ** 0.25 * math.sqrt(2.0 * l)
-        w = pref * np.exp(-a2 * (math.pi * k / l - p / params.hbar) ** 2)
-        return w[None, :] * np.exp(-1j * math.pi * np.outer(q, k) / l)
-    # Box: b_k = i (C_k - C_{-k}) on the doubled circle at (q - l, p).
-    L = 2.0 * l
-    pref = (math.pi * a2 / (2.0 * L**4)) ** 0.25 * math.sqrt(2.0 * L)
-    wp = pref * np.exp(-a2 * (math.pi * k / L - p / params.hbar) ** 2)
-    wm = pref * np.exp(-a2 * (-math.pi * k / L - p / params.hbar) ** 2)
-    phase = np.exp(-1j * math.pi * np.outer(q - l, k) / L)
-    return 1j * (wp[None, :] * phase - wm[None, :] * np.conjugate(phase))
+        return comb_coefficients(params, k, q[:, None], p, params.half_length)
+    # Box modes k run from 1, as the table's do; the table is exactly
+    # zero past its own window.
+    k_tab, table = box_coefficient_table(params, q, p, params.half_length)
+    mat = np.zeros((len(q), len(k)), dtype=complex)
+    n = min(len(k_tab), len(k))
+    mat[:, :n] = table[:, :n]
+    return mat
 
 
 def _window_discard(params: PhysicalParams, state: WaveState,

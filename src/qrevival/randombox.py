@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import _mode_window
+from .box import box_coefficient_table
 from .params import ContractViolation, DomainError, PhysicalParams
 
 # Entries of one (nodes x points x modes) block of the size quadrature.
@@ -89,38 +89,18 @@ class RandomBoxModel:
         """Sine-basis coefficients of psi_l for every half-size in ``nodes``.
 
         Returns (k, B) with k = 1..K and B[n, k - 1] the unit-normalized
-        coefficient of mode k at nodes[n].  A coherent row is the closed
-        form of ``box.box_coefficients``: b_k = i (C_k - C_{-k}) from the
-        doubled-circle comb C_k of the packet at (q_rel l - l, p), kept
-        on that node's own mode window (modes outside it are exactly 0)
-        and zero-padded to the widest window K.  Rows are normalized by
-        sum |b_k|^2, which equals ``box.box_norm_sq`` up to the window
-        truncation.
+        coefficient of mode k at nodes[n].  A coherent row is the row of
+        ``box.box_coefficient_table`` at (q_rel l, p) and half-size l,
+        normalized by sum |b_k|^2, which equals ``box.box_norm_sq`` up to
+        the mode-window truncation.
         """
         l = np.atleast_1d(np.asarray(nodes, dtype=float))
         if self.kind == "eigenstate":
             table = np.zeros((len(l), self.eigen_index), dtype=complex)
             table[:, -1] = 1.0
             return np.arange(1, self.eigen_index + 1), table
-        par = self.template
-        windows = np.array([_mode_window(par, self.p, 2.0 * float(v))
-                            for v in l])
-        top = int(np.max(np.abs(windows)))
-        k = np.arange(1, top + 1)
-        # The comb of circle.circle_coefficients on half-length L = 2l.
-        big_l = 2.0 * l[:, None]
-        a2 = par.alpha**2
-        pref = (math.pi * a2 / (2.0 * big_l**4)) ** 0.25 * np.sqrt(2.0 * big_l)
-        q = self.q_rel * l[:, None] - l[:, None]
-
-        def comb(kk):
-            live = (windows[:, :1] <= kk) & (kk <= windows[:, 1:])
-            c = pref * np.exp(-a2 * (math.pi * kk / big_l
-                                     - self.p / par.hbar) ** 2
-                              - 1j * math.pi * kk * q / big_l)
-            return np.where(live, c, 0.0)
-
-        table = 1j * (comb(k) - comb(-k))
+        k, table = box_coefficient_table(self.template, self.q_rel * l,
+                                         self.p, l)
         norm_sq = np.sum(table.real**2 + table.imag**2, axis=1)
         return k, table / np.sqrt(norm_sq)[:, None]
 

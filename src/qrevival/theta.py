@@ -3,8 +3,9 @@
 Everything on the circle and in the box reduces to these kernels:
 
 * ``theta``          -- theta(z, tau) = sum_k exp(-pi tau k^2 + 2 pi i k z),
-  Re tau > 0, with a single modular reduction into the fast-converging
-  regime when Re tau < 1;
+  Re tau > 0, for scalar or array z: Im tau is reduced exactly first,
+  then the sum runs in the series or the modular image form, whichever
+  needs fewer terms;
 * ``gaussian_packet`` -- the freely evolving minimal packet eta_{qp,t};
 * ``gaussian_overlap`` -- the closed-form scalar product
   (eta_{qp}, eta_{q'p',t});
@@ -26,10 +27,6 @@ import numpy as np
 
 from .params import DomainError, PhasePoint, PhysicalParams, RangeError
 
-# Tail rule shared by every Gaussian-weighted series in the package:
-# stop once the next term falls below TAIL_REL * (|partial sum| + 1).
-TAIL_REL = 1e-16
-
 # Lattice sums keep every term whose Gaussian weight is above
 # e^-WINDOW_LOG (~4e-18), plus one term of padding on each side.
 WINDOW_LOG = 40.0
@@ -39,86 +36,54 @@ BLOCK_CAP = 2**22
 _EXP_CAP = 709.0  # log of the largest finite double
 
 
-def _guarded_exp(w: complex, k: int) -> complex:
-    if w.real > _EXP_CAP:
-        raise RangeError(f"theta series term k={k} overflows exp ({w.real:.1f})")
-    return cmath.exp(w)
-
-
-def _theta_series(z: complex, tau: complex) -> complex:
-    """Direct summation of the defining series; fast for Re tau >= 1."""
-    total = _guarded_exp(0j, 0)
-    k = 1
-    quiet = 0
-    while True:
-        pair = (_guarded_exp(-math.pi * tau * k * k + 2j * math.pi * k * z, k)
-                + _guarded_exp(-math.pi * tau * k * k - 2j * math.pi * k * z, -k))
-        total += pair
-        if abs(pair) < TAIL_REL * (abs(total) + 1.0):
-            quiet += 1
-            if quiet >= 2:
-                return total
-        else:
-            quiet = 0
-        k += 1
-        if k > 10**6:
-            raise RangeError("theta series failed to converge")
-
-
-def _theta_images(z: complex, tau: complex) -> complex:
-    """Image-sum form (1/sqrt(tau)) sum_n exp(-pi (z-n)^2 / tau).
-
-    This is the defining series after one application of the modular
-    relation; it converges fast when Re tau < 1.
-    """
-    inv = 1.0 / tau
-    n0 = round(z.real)
-    total = 0j
-    # Centre the sum on the nearest integer so both tails decay.
-    n = 0
-    quiet = 0
-    while True:
-        if n == 0:
-            step = _guarded_exp(-math.pi * (z - n0) ** 2 * inv, n0)
-        else:
-            step = (_guarded_exp(-math.pi * (z - (n0 + n)) ** 2 * inv, n0 + n)
-                    + _guarded_exp(-math.pi * (z - (n0 - n)) ** 2 * inv, n0 - n))
-        total += step
-        if n > 0 and abs(step) < TAIL_REL * (abs(total) + 1.0):
-            quiet += 1
-            if quiet >= 2:
-                break
-        elif n > 0:
-            quiet = 0
-        n += 1
-        if n > 10**6:
-            raise RangeError("theta image sum failed to converge")
-    return total / cmath.sqrt(tau)
-
-
-def theta(z: complex, tau: complex) -> complex:
+def theta(z, tau: complex):
     """Jacobi theta function sum_k exp(-pi tau k^2 + 2 pi i k z).
 
     Parameters
     ----------
-    z : complex
+    z : complex or array of complex
     tau : complex
         Must satisfy Re tau > 0.
 
+    Returns
+    -------
+    complex for scalar ``z``, otherwise an array of the shape of ``z``.
+
     Notes
     -----
-    For Re tau < 1 the modular relation is applied once and the sum is
-    carried out in the image (Gaussian comb) representation, which is
-    the fast-converging regime there.  Both branches agree to ~1e-13
-    relative across the overlap region.
+    Im tau is first reduced exactly into [-1/2, 1/2]: theta is invariant
+    under tau -> tau + 2i, and tau -> tau + i is the shift z -> z + 1/2.
+    The sum then runs over an ``image_window`` range in whichever form
+    needs fewer terms: the defining series, or its modular image
+    (1/sqrt(tau)) sum_n exp(-pi (z - n)^2 / tau), which wins when
+    |tau| < 1.
     """
-    z = complex(z)
     tau = complex(tau)
     if not tau.real > 0.0:
         raise DomainError(f"theta requires Re tau > 0, got tau={tau!r}")
-    if tau.real >= 1.0:
-        return _theta_series(z, tau)
-    return _theta_images(z, tau)
+    turns = round(tau.imag)
+    tau = complex(tau.real, tau.imag - turns)
+    z = np.asarray(z, dtype=complex) + 0.5 * (turns % 2)
+    a = tau.real
+    # |series term k| ~ exp(-pi a (k + Im z / a)^2); |image term n| ~
+    # exp(-pi (a / |tau|^2) (n - Re z - Im tau Im z / a)^2).
+    k_lo, k_hi = image_window(math.pi * a, float(np.min(z.imag)) / a,
+                              float(np.max(z.imag)) / a, 1.0)
+    drift = -(z.real + tau.imag * z.imag / a)
+    n_lo, n_hi = image_window(math.pi * a / abs(tau) ** 2,
+                              float(np.min(drift)), float(np.max(drift)), 1.0)
+    if k_hi - k_lo <= n_hi - n_lo:
+        k = np.arange(k_lo, k_hi + 1)
+        expo = -math.pi * tau * k**2 + 2j * math.pi * k * z[..., None]
+        scale = 1.0
+    else:
+        n = np.arange(n_lo, n_hi + 1)
+        expo = -math.pi * (z[..., None] - n) ** 2 / tau
+        scale = 1.0 / cmath.sqrt(tau)
+    if np.max(expo.real) > _EXP_CAP:
+        raise RangeError(f"theta term overflows exp ({np.max(expo.real):.1f})")
+    out = scale * np.exp(expo).sum(axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
 def gaussian_packet(params: PhysicalParams, phase: PhasePoint, x, t: float = 0.0):
@@ -228,7 +193,8 @@ def periodized_overlap(params: PhysicalParams, q, p, qb, pb, t: float,
     drift = qb - q + (p + pb) * (t / (2.0 * params.mass))
     if not isinstance(drift, np.ndarray) or drift.ndim == 0:
         # Scalar labels skip the array path, whose fixed cost would
-        # double a single call (box_norm_sq makes thousands of them).
+        # double a single call (circle_overlap, box_overlap and the
+        # scalar norms pass one label at a time).
         n_lo, n_hi = image_window(decay, drift, drift, period)
         shifts = qb + period * np.arange(n_lo, n_hi + 1)
         return overlap_core(params, q, p, shifts, pb, t).sum()

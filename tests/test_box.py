@@ -19,14 +19,6 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 L = math.pi
 
 
-def _sine_eval(par, coeffs, x, t=0.0):
-    k = np.arange(1, len(coeffs) + 1)
-    ph = np.exp(-1j * par.hbar * t * (math.pi * k / (2.0 * L)) ** 2
-                / (2.0 * par.mass))
-    basis = np.sin(math.pi * np.outer(x - L, k) / (2.0 * L)) / math.sqrt(L)
-    return basis @ (coeffs * ph)
-
-
 def test_covering_map_matches_bounce_oracle(rng):
     par = PhysicalParams(0.1, 1.3, 0.3, L)
     for _ in range(5):
@@ -61,9 +53,11 @@ def test_coefficients_match_projection():
     ph = PhasePoint(0.4, 1.2)
     b = box_coefficients(par, ph)
     spec = QuadratureSpec(subdivisions=16)
+    packets = make_box_state(par, ph)
 
     def state(x):
-        return _sine_eval(par, b, np.atleast_1d(x))
+        # Antisymmetrized free packets, independent of the coefficients.
+        return eval_state(packets, x, method="image_sum")
 
     for k in (1, 5, len(b) // 2):
         def basis(x, k=k):

@@ -37,8 +37,12 @@ def test_coefficients_match_projection():
     par = PhysicalParams(0.1, 1.0, 0.3, L)
     ph = PhasePoint(0.4, 1.2)
     state = make_circle_state(par, ph)
-    f = circle_state_callable(par, ph)
     spec = QuadratureSpec(subdivisions=16)
+
+    def f(x):
+        # Periodized free packets, independent of the coefficients.
+        return eval_state(state, x, method="image_sum")
+
     for k in (state.k_min, state.k_min + len(state.coefficients) // 2):
         def basis(x, k=k):
             return np.exp(1j * math.pi * k * np.asarray(x) / L) \

@@ -1,4 +1,5 @@
-"""Every imported name in the package and the tests is used."""
+"""Every imported name in the package and the tests is used, and every
+private module-level name in the package is referenced."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # __init__.py imports names only to re-export them.
-FILES = sorted(p for p in (ROOT / "src" / "qrevival").glob("*.py")
-               if p.name != "__init__.py") \
+PACKAGE = sorted((ROOT / "src" / "qrevival").glob("*.py"))
+FILES = [p for p in PACKAGE if p.name != "__init__.py"] \
     + sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -36,3 +37,45 @@ def test_scan_flags_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _orphans(sources: dict[str, str]) -> list[str]:
+    """Module-level _private names that no module ever refers to."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) \
+                    and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_")
+                        and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [f"{module}.{name}" for module, name in defined
+            if name not in used]
+
+
+def test_scan_flags_orphaned_private_names():
+    sources = {"a": "_CAP = 3\ndef _used(): return _CAP\ndef _dead(): pass\n"
+                    "class _Gone: pass\n",
+               "b": "from .a import _used\n_used()\n__all__ = []\n"}
+    assert _orphans(sources) == ["a._dead", "a._Gone"]
+
+
+def test_no_orphaned_private_names():
+    assert _orphans({p.stem: p.read_text() for p in PACKAGE}) == []

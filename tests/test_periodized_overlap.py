@@ -1,4 +1,5 @@
-"""The periodized-overlap kernel behind every circle and box overlap.
+"""The periodized-overlap kernel behind every circle and box overlap
+and norm.
 
 Closed forms are checked against the quadrature oracle, including the
 large spreading factors of the revival schedules, and the blocked and
@@ -14,13 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrevival.box import box_coefficients, box_overlap
-from qrevival.circle import circle_overlap
+from qrevival.box import (box_coefficients, box_norm_sq, box_overlap,
+                          make_box_state)
+from qrevival.circle import circle_norm_sq, circle_overlap, \
+    make_circle_state
 from qrevival.husimi import (DensityOperatorMixture, husimi, husimi_grid,
                              make_schedule)
 from qrevival.oracles import QuadratureSpec, circle_state_callable, \
     quad_inner
-from qrevival.params import PhasePoint, PhysicalParams
+from qrevival.params import DegenerateStateError, PhasePoint, \
+    PhysicalParams
 
 # The module, not the theta function the package re-exports.
 theta = importlib.import_module("qrevival.theta")
@@ -153,3 +157,32 @@ def test_broadcast_labels_match_scalar_calls(cap, monkeypatch):
                                     2.0 * L)
     assert grid.shape == (len(qb), len(pb))
     assert np.max(np.abs(grid - scalar)) <= 1e-15 * np.max(np.abs(scalar))
+
+
+@CASES
+@given(hbar=st.floats(0.02, 0.3), alpha_rel=st.floats(0.02, 0.24),
+       l=st.floats(0.5, 4.0), q_rel=st.floats(-1.0, 1.0),
+       p=st.floats(-3.0, 3.0), domain=st.sampled_from(["circle", "box"]))
+def test_norm_equals_coefficient_norm(hbar, alpha_rel, l, q_rel, p, domain):
+    # The image-sum norm against sum |c_k|^2 of the spectral state.
+    par = PhysicalParams(hbar, 1.0, alpha_rel * l, l)
+    phase = PhasePoint(q_rel * l, p)
+    if domain == "circle":
+        closed = circle_norm_sq(par, phase)
+        spectral = make_circle_state(par, phase).norm_sq()
+    else:
+        try:
+            spectral = make_box_state(par, phase).norm_sq()
+        except DegenerateStateError:
+            return
+        closed = box_norm_sq(par, phase)
+    assert abs(closed - spectral) <= 1e-12 * spectral
+
+
+@pytest.mark.parametrize("domain", ["circle", "box"])
+def test_atom_norms_match_scalar_norms(domain):
+    rho = _mixture(domain, 0.0)
+    norm = circle_norm_sq if domain == "circle" else box_norm_sq
+    scalar = np.array([norm(rho.params, ph) for _, ph in rho.atoms])
+    got = rho.atom_norms_sq()
+    assert np.max(np.abs(got - scalar)) <= 1e-15 * np.max(scalar)

@@ -2,12 +2,16 @@
 
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrevival.oracles import QuadratureSpec, quad_inner, read_golden
-from qrevival.params import PhasePoint, PhysicalParams, RangeError
+from qrevival.params import DomainError, PhasePoint, PhysicalParams, \
+    RangeError
 from qrevival.theta import (dispersion, gaussian_overlap, gaussian_packet,
                             overlap_core, theta)
 
@@ -44,7 +48,7 @@ def test_theta_modular_identity(seed):
 
 
 def test_theta_branch_continuity():
-    # Values straddling the representation switch at Re tau = 1 agree.
+    # Values straddling the representation switch at |tau| = 1 agree.
     z = 0.3 + 0.05j
     left = theta(z, 1.0 - 1e-9)
     right = theta(z, 1.0 + 1e-9)
@@ -54,6 +58,65 @@ def test_theta_branch_continuity():
 def test_theta_overflow_guard():
     with pytest.raises(RangeError):
         theta(500.0j, 1.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.5 + 2.0j, complex("nan")])
+def test_theta_domain_guard(tau):
+    with pytest.raises(DomainError):
+        theta(0.1, tau)
+
+
+def brute_theta(z: complex, tau: complex, cutoff: int = 200):
+    """Two-sided defining series, no modular switch and no window rule.
+
+    The phase exp(-i pi Im(tau) k^2) is reduced with exact rational
+    arithmetic, so large Im tau costs no accuracy.  Returns the sum and
+    the sum of the terms' moduli, the scale of its rounding.
+    """
+    b = Fraction(tau.imag)
+    total, scale = 0j, 0.0
+    for k in range(-cutoff, cutoff + 1):
+        turn = float(b * k * k % 2)
+        term = math.exp(-math.pi * tau.real * k * k) \
+            * complex(math.cos(math.pi * turn), -math.sin(math.pi * turn)) \
+            * complex(np.exp(2j * math.pi * k * z))
+        total += term
+        scale += abs(term)
+    return total, scale
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tau_re=st.floats(0.05, 5.0), tau_im=st.floats(-30.0, 30.0),
+       z_re=st.floats(-1.5, 1.5), z_im=st.floats(-0.3, 0.3))
+def test_theta_against_brute_force(tau_re, tau_im, z_re, z_im):
+    tau = complex(tau_re, tau_im)
+    z = complex(z_re, z_im)
+    want, scale = brute_theta(z, tau)
+    # Relative to |theta| away from its zeros; near a zero, relative to
+    # the terms' moduli, below which no summation order can resolve it.
+    assert abs(theta(z, tau) - want) <= 1e-12 * max(abs(want), 1e-3 * scale)
+
+
+@pytest.mark.parametrize("tau", [0.3 + 0.2j, 0.05 + 17.3j, 2.0 - 0.1j,
+                                 0.9 + 0.45j])
+def test_theta_array_z_matches_scalar(tau, rng):
+    z = rng.uniform(-1.5, 1.5, (3, 4)) + 1j * rng.uniform(-0.3, 0.3, (3, 4))
+    got = theta(z, tau)
+    assert got.shape == z.shape
+    want = np.array([[theta(complex(v), tau) for v in row] for row in z])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    assert isinstance(theta(0.1, tau), complex)
+
+
+@pytest.mark.parametrize("tau", [0.37 + 0.25j, 0.05 - 0.375j, 1.5 + 0.125j])
+def test_theta_im_tau_reduction(tau):
+    # Dyadic Im tau keeps tau + k i exact, so the reduction is exact too.
+    z = np.array([0.3 + 0.05j, -1.2 - 0.2j, 0.0])
+    base = theta(z, tau)
+    for k in (-3, 1, 7, 250):
+        assert np.array_equal(theta(z, tau + 2j * k), base)
+    assert np.array_equal(theta(z, tau + 1j), theta(z + 0.5, tau))
+    assert np.array_equal(theta(z, tau - 3j), theta(z + 0.5, tau))
 
 
 def test_packet_normalization():
