@@ -8,6 +8,7 @@ Fourier modes e_k(x) = exp(i pi k x / l) / sqrt(2l).
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, replace
 
@@ -20,6 +21,10 @@ from .theta import (dispersion, gaussian_packet, image_window,
                     periodized_overlap)
 
 MODE_CAP = 10**7
+
+# The module, not the theta function the package re-exports; read at
+# call time so BLOCK_CAP stays one setting.
+_kernels = importlib.import_module(".theta", __package__)
 
 
 @dataclass(frozen=True)
@@ -206,6 +211,82 @@ def _eval_circle_images(params: PhysicalParams, phase: PhasePoint,
     return out
 
 
+def _uniform_offset(x: np.ndarray, half_length: float):
+    """Offset of x as a uniform grid of spacing h = 2l/len(x), or None.
+
+    x is uniform when x_j = -l + (m/2 + j) h for all j, to within a few
+    ulps of its magnitude; m is the offset of x_0 from -l in half cells.
+    m is returned as an int when x_0 sits on a half cell to that same
+    tolerance (midpoint grids and grids starting at a wall), otherwise
+    as a float.
+    """
+    n = len(x)
+    if n == 0 or not np.all(np.isfinite(x)):
+        return None
+    l = half_length
+    h = 2.0 * l / n
+    tol = 8.0 * np.finfo(float).eps * max(l, float(np.max(np.abs(x))))
+    shift = float(x[0]) + l
+    m = shift / (0.5 * h)
+    if abs(round(m) * (0.5 * h) - shift) <= tol:
+        m = round(m)
+    grid = -l + (0.5 * m + np.arange(n)) * h
+    return m if np.all(np.abs(x - grid) <= tol) else None
+
+
+def _fold(k: np.ndarray, a: np.ndarray, m, n_bins: int) -> np.ndarray:
+    """Fold sum_k a_k exp(i pi k (m - N + 2j) / N) onto N = n_bins bins.
+
+    Returns B with sum_b B_b exp(2 pi i b j / N) equal to that sum at
+    every integer j: mode k lands in bin k mod N with the phase
+    exp(i pi k (m - N) / N).  For an int m the phase angle is reduced
+    exactly, as the integer k (m - N) mod 2N.
+    """
+    if isinstance(m, int):
+        period = 2 * n_bins
+        r = (k % period) * ((m - n_bins) % period) % period
+        phase = np.exp((1j * math.pi / n_bins) * r)
+    else:
+        phase = np.exp((1j * math.pi * (m - n_bins) / n_bins) * k)
+    phase *= a
+    bins = k % n_bins
+    return (np.bincount(bins, phase.real, n_bins)
+            + 1j * np.bincount(bins, phase.imag, n_bins))
+
+
+def _eval_basis(state: WaveState, x: np.ndarray) -> np.ndarray:
+    """Synthesis against the explicit basis, built in row blocks of at
+    most ``theta.BLOCK_CAP`` (points x modes) entries."""
+    k = state.k_values
+    l = state.params.half_length
+    rows = max(1, _kernels.BLOCK_CAP // len(k))
+    out = np.empty(len(x), dtype=complex)
+    for i in range(0, len(x), rows):
+        xb = x[i:i + rows]
+        if state.domain == "circle":
+            basis = np.exp(1j * math.pi * np.outer(xb, k) / l) \
+                / math.sqrt(2.0 * l)
+        else:
+            basis = np.sin(math.pi * np.outer(xb - l, k) / (2.0 * l)) \
+                / math.sqrt(l)
+        out[i:i + rows] = basis @ state.coefficients
+    return out
+
+
+def _eval_grid(state: WaveState, m, n: int) -> np.ndarray:
+    """Synthesis on the uniform grid x_j = -l + (m/2 + j) 2l/n by one
+    inverse FFT over the folded modes."""
+    k, c = state.k_values, state.coefficients
+    l = state.params.half_length
+    if state.domain == "circle":
+        return np.fft.ifft(_fold(k, c, m, n), norm="forward") \
+            / math.sqrt(2.0 * l)
+    # sin(u) = (e^{iu} - e^{-iu}) / 2i, modes +-k on the doubled circle,
+    # which the grid covers with 2n points.
+    bins = _fold(k, c, m, 2 * n) - _fold(-k, c, m, 2 * n)
+    return np.fft.ifft(bins, norm="forward")[:n] / (2j * math.sqrt(l))
+
+
 def eval_state(state: WaveState, x, method: str = "spectral"):
     """Evaluate the wave function at position(s) x.
 
@@ -213,19 +294,33 @@ def eval_state(state: WaveState, x, method: str = "spectral"):
     sums shifted free packets at the stored time (available only for
     packet-generated states).  The two agree within combined truncation
     tolerance.
+
+    The spectral synthesis takes one of two paths, chosen by the points
+    alone:
+
+    * x uniform with spacing 2l/len(x) (midpoint grids, and grids from
+      ``linspace(-l, l, n, endpoint=False)``): the modes are folded onto
+      the grid, exactly, modulo n (circle) or 2n (box, whose sines are
+      pairs of modes +-k on the doubled circle), and summed by one
+      inverse FFT, in O(K + n log n) time and O(K + n) memory for K
+      modes.  When x_0 sits on a half cell, each mode's phase is reduced
+      exactly in integers, so the error stays at a few ulps of max|psi|
+      (2.4e-16 of max|psi| at K = 6329, against a long-double sum at the
+      exact grid points);
+    * any other x: the explicit n x K basis, built in row blocks of at
+      most ``theta.BLOCK_CAP`` entries.  The phase pi k x / l is rounded
+      in floating point, an error that grows with |k| (about 1e-13 of
+      max|psi| at K = 6329).  A uniform grid whose x_0 is off the half
+      cells takes the FFT path with this same float phase.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     par = state.params
     l = par.half_length
     if method == "spectral":
-        k = state.k_values
-        if state.domain == "circle":
-            basis = np.exp(1j * math.pi * np.outer(x, k) / l) \
-                / math.sqrt(2.0 * l)
-        else:
-            basis = np.sin(math.pi * np.outer(x - l, k) / (2.0 * l)) \
-                / math.sqrt(l)
-        out = basis @ state.coefficients
+        x = x.ravel()
+        m = _uniform_offset(x, l)
+        out = _eval_basis(state, x) if m is None \
+            else _eval_grid(state, m, len(x))
     elif method == "image_sum":
         if state.source is None:
             raise MethodUnavailable(

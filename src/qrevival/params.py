@@ -70,11 +70,6 @@ class PhysicalParams:
         """Dimensionless spreading factor hbar*t / (2 m alpha^2)."""
         return self.hbar * t / (2.0 * self.mass * self.alpha**2)
 
-    def doubled(self) -> "PhysicalParams":
-        """Same parameters on the doubled domain [-2l, 2l]."""
-        return PhysicalParams(self.hbar, self.mass, self.alpha,
-                              2.0 * self.half_length)
-
 
 @dataclass(frozen=True)
 class PhasePoint:

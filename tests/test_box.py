@@ -5,7 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qrevival import circle
 from qrevival.box import (box_coefficients, box_norm_sq, box_overlap,
                           covering_map, fold_position, make_box_state,
                           theta_inv_map, theta_map)
@@ -17,6 +20,8 @@ from qrevival.params import (DegenerateStateError, DomainError, PhasePoint,
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 L = math.pi
+EPS = np.finfo(float).eps
+PI_LD = np.longdouble("3.14159265358979323846264338327950288")
 
 
 def test_covering_map_matches_bounce_oracle(rng):
@@ -161,3 +166,59 @@ def test_full_box_revival():
     auto = box_overlap(par, ph, ph, t_rev)
     norm = box_norm_sq(par, ph)
     assert abs(abs(auto) - norm) < 1e-11
+
+
+def _grid(l, n, s):
+    """n points of spacing 2l/n, the first s cells right of -l."""
+    return -l + 2.0 * l / n * (np.arange(n) + s)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(l=st.floats(0.5, 4.0), hbar=st.floats(1e-3, 0.3),
+       alpha_rel=st.floats(0.005, 0.24), q_rel=st.floats(-0.25, 0.25),
+       p=st.floats(-3.0, 3.0), t=st.floats(0.0, 20.0),
+       n=st.one_of(st.sampled_from([2, 3]), st.integers(2, 700)),
+       s=st.sampled_from([0.0, 0.5, 0.3]))
+@example(l=L, hbar=1e-3, alpha_rel=0.005, q_rel=0.2, p=1.0, t=0.37, n=3,
+         s=0.0)
+def test_fft_synthesis_matches_basis(l, hbar, alpha_rel, q_rel, p, t, n, s):
+    # The sine pairs +-k fold onto 2n bins; K > 2n modes alias.  Labels
+    # stay 3 alpha clear of the walls, outside the exclusion region.
+    par = PhysicalParams(hbar, 1.0, alpha_rel * l, l)
+    state = evolve(make_box_state(par, PhasePoint(q_rel * l, p)), t)
+    x = _grid(l, n, s)
+    m = circle._uniform_offset(x, l)
+    assert m is not None and isinstance(m, int) == (s != 0.3)
+    fft = eval_state(state, x)
+    basis = circle._eval_basis(state, x)
+    # Both round the phase of mode k to about |k| ulps.
+    l1 = np.sum(np.abs(state.coefficients)) / math.sqrt(l)
+    assert np.max(np.abs(fft - basis)) \
+        <= 4.0 * EPS * (len(state.coefficients) + n) * l1
+
+
+def _midpoint_reference(state, n):
+    """The box state at the exact midpoints -l + (j + 1/2) 2l/n, summed
+    in long double; the angle pi k (2j + 1 - 2n) / 2n is reduced mod
+    2 pi in integers first."""
+    k = state.k_values
+    c = state.coefficients.astype(np.clongdouble)
+    out = np.empty(n, dtype=complex)
+    for lo in range(0, n, 64):
+        j = np.arange(lo, min(lo + 64, n))[:, None]
+        r = (k * (2 * j + 1 - 2 * n)) % (4 * n)
+        out[lo:lo + 64] = np.sin(PI_LD * r.astype(np.longdouble)
+                                 / (2 * n)) @ c
+    return out / np.sqrt(np.longdouble(state.params.half_length))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+def test_fft_synthesis_against_long_double():
+    par = PhysicalParams(2e-3, 1.0, 0.0025, L)
+    state = evolve(make_box_state(par, PhasePoint(0.7, 1.0)), 0.37)
+    assert 6000 < len(state.coefficients) < 6500
+    n = 512
+    want = _midpoint_reference(state, n)
+    got = eval_state(state, _grid(L, n, 0.5))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

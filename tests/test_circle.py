@@ -1,12 +1,18 @@
 """Circle coherent states: coefficients, norms, evolution, revivals."""
 
+import importlib
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qrevival import circle
+from qrevival.box import make_box_state
 from qrevival.circle import (circle_norm_sq, circle_overlap,
                              eval_state, evolve, irrational_structure,
                              limit_profile, make_circle_state,
@@ -19,6 +25,10 @@ from qrevival.params import (CapacityError, ContractViolation,
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 L = math.pi
+EPS = np.finfo(float).eps
+PI_LD = np.longdouble("3.14159265358979323846264338327950288")
+# The module, not the theta function the package re-exports.
+theta = importlib.import_module("qrevival.theta")
 
 
 def test_alpha_contract():
@@ -218,3 +228,102 @@ def test_limit_profile_delta_has_no_density():
                             0.0, 0.0, "circle", par)
     with pytest.raises(MethodUnavailable):
         profile_position_density(profile, np.array([0.0]))
+
+
+def _grid(l, n, s):
+    """n points of spacing 2l/n, the first s cells right of -l."""
+    return -l + 2.0 * l / n * (np.arange(n) + s)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(l=st.floats(0.5, 4.0), hbar=st.floats(1e-3, 0.3),
+       alpha_rel=st.floats(0.005, 0.24), q_rel=st.floats(-1.0, 1.0),
+       p=st.floats(-3.0, 3.0), t=st.floats(0.0, 20.0),
+       n=st.one_of(st.sampled_from([2, 3]), st.integers(2, 700)),
+       s=st.sampled_from([0.0, 0.5, 0.3]))
+@example(l=L, hbar=1e-3, alpha_rel=0.005, q_rel=0.2, p=1.0, t=0.37, n=2,
+         s=0.5)
+def test_fft_synthesis_matches_basis(l, hbar, alpha_rel, q_rel, p, t, n, s):
+    # The folded FFT against the explicit basis on the same points;
+    # small alpha gives K > n modes, so several modes share a bin.
+    par = PhysicalParams(hbar, 1.0, alpha_rel * l, l)
+    state = evolve(make_circle_state(par, PhasePoint(q_rel * l, p)), t)
+    x = _grid(l, n, s)
+    m = circle._uniform_offset(x, l)
+    assert m is not None and isinstance(m, int) == (s != 0.3)
+    fft = eval_state(state, x)
+    basis = circle._eval_basis(state, x)
+    # Both round the phase of mode k to about |k| ulps.
+    k_max = int(np.max(np.abs(state.k_values)))
+    l1 = np.sum(np.abs(state.coefficients)) / math.sqrt(2.0 * l)
+    assert np.max(np.abs(fft - basis)) <= 4.0 * EPS * (k_max + n) * l1
+
+
+def _midpoint_reference(state, n):
+    """The state at the exact midpoints -l + (j + 1/2) 2l/n, summed in
+    long double; the angle pi k (2j + 1 - n) / n is reduced mod 2 pi in
+    integers first."""
+    k = state.k_values
+    c = state.coefficients.astype(np.clongdouble)
+    out = np.empty(n, dtype=complex)
+    for lo in range(0, n, 64):
+        j = np.arange(lo, min(lo + 64, n))[:, None]
+        r = (k * (2 * j + 1 - n)) % (2 * n)
+        angle = PI_LD * r.astype(np.longdouble) / n
+        out[lo:lo + 64] = (np.cos(angle) + 1j * np.sin(angle)) @ c
+    return out / np.sqrt(2.0 * np.longdouble(state.params.half_length))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+def test_fft_synthesis_against_long_double():
+    # The evolve_dense state of the benchmark: 6329 modes.
+    par = PhysicalParams(1e-3, 1.0, 0.002, L)
+    state = evolve(make_circle_state(par, PhasePoint(0.7, 1.0)), 0.37)
+    assert len(state.coefficients) > 6000
+    n = 512
+    want = _midpoint_reference(state, n)
+    got = eval_state(state, _grid(L, n, 0.5))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("domain", ["circle", "box"])
+@pytest.mark.parametrize("cap", [1, 200])
+def test_blocked_basis_matches_single_block(domain, cap, monkeypatch, rng):
+    par = PhysicalParams(0.01, 1.0, 0.05, L)
+    make = make_circle_state if domain == "circle" else make_box_state
+    state = evolve(make(par, PhasePoint(0.4, 1.0)), 0.8)
+    x = np.sort(rng.uniform(-L, L, size=300))
+    assert circle._uniform_offset(x, L) is None
+    monkeypatch.setattr(theta, "BLOCK_CAP", 2**40)
+    whole = eval_state(state, x)
+    whole_bytes = _peak_bytes(eval_state, state, x)
+    monkeypatch.setattr(theta, "BLOCK_CAP", cap)
+    blocked = eval_state(state, x)
+    assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+    # The blocks hold at most max(cap, K) basis entries at a time.
+    assert _peak_bytes(eval_state, state, x) < whole_bytes / 10
+
+
+def test_dense_state_synthesis_stays_small():
+    # 2048 midpoints x 6329 modes: an explicit basis would take 207 MB.
+    par = PhysicalParams(1e-3, 1.0, 0.002, L)
+    state = evolve(make_circle_state(par, PhasePoint(0.7, 1.0)), 0.37)
+    assert _peak_bytes(eval_state, state, _grid(L, 2048, 0.5)) < 4e6
+
+
+def test_huge_window_synthesis_memory():
+    # 1.26e6 modes: an explicit basis on 512 points would take 9.65 GiB.
+    par = PhysicalParams(0.05, 1.0, 1e-5, L)
+    state = evolve(make_circle_state(par, PhasePoint(0.3, 1.0)), 0.5)
+    assert len(state.coefficients) > 1.2e6
+    assert _peak_bytes(eval_state, state, _grid(L, 512, 0.5)) < 200e6

@@ -89,6 +89,18 @@ def test_capacity_exit_3(tmp_path):
     assert code == 3
 
 
+def test_huge_window_evolve_exit_0(tmp_path):
+    # 1.26e6 modes on the default 512-point grid: the synthesis needs
+    # O(modes + points) memory, where an explicit basis takes 9.65 GiB.
+    code, out = run_cli(tmp_path, "evolve",
+                        {"times": [0.0, 0.5], "hbar": 0.05, "alpha": 1e-5,
+                         "half_length": math.pi, "q": 0.3,
+                         "method": "spectral"})
+    assert code == 0
+    rows = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (512, 3) and np.all(np.isfinite(rows))
+
+
 def test_revival_map_matches(tmp_path):
     code, out = run_cli(tmp_path, "revival-map",
                         {"hbar": 0.02, "alpha": 0.02 * math.pi, "q": 0.5,
