@@ -182,15 +182,20 @@ def circle_norm_sq(params: PhysicalParams, phase: PhasePoint) -> float:
                                     2.0 * params.half_length).real)
 
 
+def _evolution_phases(params: PhysicalParams, k, t: float, half_length):
+    """Free-motion phases exp(-i hbar t (pi k / l)^2 / 2m) of the modes
+    exp(i pi k x / l) of a circle of half-length l."""
+    freq = (math.pi * k / half_length) ** 2
+    return np.exp(-1j * params.hbar * t * freq / (2.0 * params.mass))
+
+
 def evolve(state: WaveState, t: float) -> WaveState:
     """Advance a state by time t (free motion; exact spectral phases)."""
     par = state.params
-    k = state.k_values
-    if state.domain == "circle":
-        freq = (math.pi * k / par.half_length) ** 2
-    else:
-        freq = (math.pi * k / (2.0 * par.half_length)) ** 2
-    phases = np.exp(-1j * par.hbar * t * freq / (2.0 * par.mass))
+    # Box sines are modes of the doubled circle, of half-length 2l.
+    l = par.half_length if state.domain == "circle" \
+        else 2.0 * par.half_length
+    phases = _evolution_phases(par, state.k_values, t, l)
     return replace(state, coefficients=state.coefficients * phases,
                    time=state.time + t)
 
@@ -240,7 +245,9 @@ def _fold(k: np.ndarray, a: np.ndarray, m, n_bins: int) -> np.ndarray:
     Returns B with sum_b B_b exp(2 pi i b j / N) equal to that sum at
     every integer j: mode k lands in bin k mod N with the phase
     exp(i pi k (m - N) / N).  For an int m the phase angle is reduced
-    exactly, as the integer k (m - N) mod 2N.
+    exactly, as the integer k (m - N) mod 2N.  ``a`` holds the modes on
+    its first axis; trailing axes are folded column by column, onto the
+    same trailing axes of B.
     """
     if isinstance(m, int):
         period = 2 * n_bins
@@ -248,10 +255,30 @@ def _fold(k: np.ndarray, a: np.ndarray, m, n_bins: int) -> np.ndarray:
         phase = np.exp((1j * math.pi / n_bins) * r)
     else:
         phase = np.exp((1j * math.pi * (m - n_bins) / n_bins) * k)
-    phase *= a
-    bins = k % n_bins
-    return (np.bincount(bins, phase.real, n_bins)
-            + 1j * np.bincount(bins, phase.imag, n_bins))
+    terms = phase[:, None] * a.reshape(len(k), -1)
+    cols = terms.shape[1]
+    bins = ((k % n_bins)[:, None] * cols + np.arange(cols)).ravel()
+    out = (np.bincount(bins, terms.real.ravel(), n_bins * cols)
+           + 1j * np.bincount(bins, terms.imag.ravel(), n_bins * cols))
+    return out.reshape((n_bins,) + a.shape[1:])
+
+
+def _grid_sum(k: np.ndarray, a: np.ndarray, m, n: int,
+              minus: np.ndarray | None = None) -> np.ndarray:
+    """Mode sums on the grid x_j = -l + (m/2 + j) 2l/n, j < n, by one
+    ``_fold`` per mode sign and one inverse FFT along the first axis.
+
+    Without ``minus``: sum_k a_k exp(i pi k x_j / l), on n bins.
+    With ``minus``: sum_k (a_k e^{i u} - minus_k e^{-i u}),
+    u = pi k (x_j - l) / 2l, the modes +-k of the doubled circle, which
+    the grid covers with 2n points; the first n are kept.  Trailing axes
+    of the coefficients are summed column by column.
+    """
+    if minus is None:
+        bins = _fold(k, a, m, n)
+    else:
+        bins = _fold(k, a, m, 2 * n) - _fold(-k, minus, m, 2 * n)
+    return np.fft.ifft(bins, axis=0, norm="forward")[:n]
 
 
 def _eval_basis(state: WaveState, x: np.ndarray) -> np.ndarray:
@@ -279,12 +306,9 @@ def _eval_grid(state: WaveState, m, n: int) -> np.ndarray:
     k, c = state.k_values, state.coefficients
     l = state.params.half_length
     if state.domain == "circle":
-        return np.fft.ifft(_fold(k, c, m, n), norm="forward") \
-            / math.sqrt(2.0 * l)
-    # sin(u) = (e^{iu} - e^{-iu}) / 2i, modes +-k on the doubled circle,
-    # which the grid covers with 2n points.
-    bins = _fold(k, c, m, 2 * n) - _fold(-k, c, m, 2 * n)
-    return np.fft.ifft(bins, norm="forward")[:n] / (2j * math.sqrt(l))
+        return _grid_sum(k, c, m, n) / math.sqrt(2.0 * l)
+    # sin(u) = (e^{iu} - e^{-iu}) / 2i.
+    return _grid_sum(k, c, m, n, minus=c) / (2j * math.sqrt(l))
 
 
 def eval_state(state: WaveState, x, method: str = "spectral"):
@@ -293,7 +317,8 @@ def eval_state(state: WaveState, x, method: str = "spectral"):
     method 'spectral' synthesizes the stored coefficients; 'image_sum'
     sums shifted free packets at the stored time (available only for
     packet-generated states).  The two agree within combined truncation
-    tolerance.
+    tolerance.  Both return an array of the shape of x (a complex scalar
+    when x is a scalar or has shape (1,)).
 
     The spectral synthesis takes one of two paths, chosen by the points
     alone:
@@ -317,10 +342,11 @@ def eval_state(state: WaveState, x, method: str = "spectral"):
     par = state.params
     l = par.half_length
     if method == "spectral":
-        x = x.ravel()
-        m = _uniform_offset(x, l)
-        out = _eval_basis(state, x) if m is None \
-            else _eval_grid(state, m, len(x))
+        flat = x.ravel()
+        m = _uniform_offset(flat, l)
+        out = _eval_basis(state, flat) if m is None \
+            else _eval_grid(state, m, len(flat))
+        out = out.reshape(x.shape)
     elif method == "image_sum":
         if state.source is None:
             raise MethodUnavailable(

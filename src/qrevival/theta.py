@@ -12,7 +12,10 @@ Everything on the circle and in the box reduces to these kernels:
 * ``periodized_overlap`` -- the theta-type image sum
   sum_n (eta_{qp}, eta_{q'+n L, p', t}) over a period L.  Circle overlaps
   are this sum with L = 2l; box overlaps are the same sum on the doubled
-  circle (L = 4l) minus its wall mirror.
+  circle (L = 4l) minus its wall mirror.  Single overlaps, norms and
+  Husimi grids use it; ``husimi.transition_grid`` uses it only where it
+  costs less than the kernel's spectral form, a mode sum per momentum
+  column (``overlap_decay`` sizes its image window).
 
 ``image_window`` is the one truncation rule for every Gaussian-weighted
 lattice sum (image shifts and Fourier modes alike).
@@ -160,6 +163,14 @@ def image_window(decay: float, lo: float, hi: float, period: float
             math.ceil((reach - lo) / period) + 1)
 
 
+def overlap_decay(params: PhysicalParams, t: float) -> float:
+    """Rate of the Gaussian fall-off exp(-decay d^2) of
+    |(eta_{qp}, eta_{q'p',t})| in the centre offset
+    d = q' - q + (p + p') t / 2m."""
+    g = params.gamma(t)
+    return 1.0 / (2.0 * params.alpha**2 * (4.0 + g * g))
+
+
 def _shifts(decay: float, drift: np.ndarray, period: float) -> np.ndarray:
     """Image shifts n * period for offsets spanning ``drift``."""
     n_lo, n_hi = image_window(decay, float(np.min(drift)),
@@ -187,9 +198,7 @@ def periodized_overlap(params: PhysicalParams, q, p, qb, pb, t: float,
     above BLOCK_CAP (labels x images) entries is split into blocks along
     the first axis, each with its own window.
     """
-    g = params.gamma(t)
-    # The overlap decays as exp(-decay d^2) in the centre offset d.
-    decay = 1.0 / (2.0 * params.alpha**2 * (4.0 + g * g))
+    decay = overlap_decay(params, t)
     drift = qb - q + (p + pb) * (t / (2.0 * params.mass))
     if not isinstance(drift, np.ndarray) or drift.ndim == 0:
         # Scalar labels skip the array path, whose fixed cost would

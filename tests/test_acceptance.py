@@ -364,6 +364,7 @@ def _husimi_vs_classical(level, fam, atoms_nq, atoms_np_min, husimi_n,
     return max(abs(a - b) for a, b in zip(got, want))
 
 
+@pytest.mark.slow
 def test_criterion_08_dichotomy(report):
     start = time.time()
     base = PhysicalParams(0.05, 1.0, 0.3 * math.sqrt(0.05), L)

@@ -230,6 +230,26 @@ def test_limit_profile_delta_has_no_density():
         profile_position_density(profile, np.array([0.0]))
 
 
+@pytest.mark.parametrize("domain", ["circle", "box"])
+@pytest.mark.parametrize("s", [0.5, None])
+def test_eval_state_keeps_shape_of_x(domain, s):
+    # A 2-D x: a midpoint grid (s = 0.5, the FFT path) or scattered
+    # points (the explicit basis).  Both methods keep its shape.
+    par = PhysicalParams(0.05, 1.0, 0.2, L)
+    make = make_circle_state if domain == "circle" else make_box_state
+    state = evolve(make(par, PhasePoint(0.4, 1.0)), 1.3)
+    x = np.linspace(-1.0, 1.0, 6) if s is None else _grid(L, 6, s)
+    x = x.reshape(2, 3)
+    spectral = eval_state(state, x)
+    images = eval_state(state, x, method="image_sum")
+    assert spectral.shape == images.shape == (2, 3)
+    assert np.max(np.abs(spectral - images)) < 1e-10
+    for point in (0.3, np.array([0.3])):
+        one = eval_state(state, point)
+        assert np.ndim(one) == 0
+        assert abs(one - eval_state(state, point, method="image_sum")) < 1e-10
+
+
 def _grid(l, n, s):
     """n points of spacing 2l/n, the first s cells right of -l."""
     return -l + 2.0 * l / n * (np.arange(n) + s)

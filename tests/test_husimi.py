@@ -1,12 +1,18 @@
 """Husimi transform, classical transport, pairings, and schedules."""
 
+import importlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_circle import _peak_bytes
+from test_periodized_overlap import oracle_overlap
 
-from qrevival.circle import limit_profile, revival_structure
+from qrevival.circle import (limit_profile, revival_structure,
+                             transition_density)
 from qrevival.husimi import (DensityOperatorMixture, TestFamily,
                              classical_transport, density_mass,
                              gaussian_mixture_density, grid_density,
@@ -18,6 +24,11 @@ from qrevival.params import (ContractViolation, DomainError, PhasePoint,
                              PhysicalParams)
 
 L = math.pi
+# The modules, not the functions of the same names the package re-exports.
+husimi_module = importlib.import_module("qrevival.husimi")
+theta_module = importlib.import_module("qrevival.theta")
+TRANSITION_CASES = settings(max_examples=25, deadline=None,
+                            derandomize=True, database=None)
 
 
 def test_mixture_weight_validation():
@@ -187,22 +198,145 @@ def test_pair_profile_against_grid_quadrature():
         assert abs(pair_profile(fam, idx, profile) - grid) < 1e-9
 
 
+def _transition_branch(par, fixed, t, domain, nq, p_nodes):
+    """``transition_grid`` and whether its mode sum ran."""
+    calls = []
+    mode_sum = husimi_module._transition_mode_sums
+
+    def spy(*args):
+        calls.append(args)
+        return mode_sum(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(husimi_module, "_transition_mode_sums", spy)
+        grid = transition_grid(par, fixed, t, domain, nq, p_nodes)
+    assert grid.shape == (nq, len(p_nodes))
+    return grid, bool(calls)
+
+
+def _assert_pointwise(par, fixed, t, domain, grid, p_nodes, rows):
+    l = par.half_length
+    nq = grid.shape[0]
+    q = -l + 2.0 * l / nq * (np.arange(nq) + 0.5)
+    for i in rows:
+        for j, pj in enumerate(p_nodes):
+            want = transition_density(par, fixed,
+                                      PhasePoint(float(q[i]), float(pj)),
+                                      t, domain)
+            assert abs(grid[i, j] - want) < 1e-12 * (1.0 + want)
+
+
 @pytest.mark.parametrize("domain", ["circle", "box"])
 def test_transition_grid_matches_pointwise(domain):
-    from qrevival.circle import transition_density
     par = PhysicalParams(0.1, 1.0, 0.3, L)
     fixed = PhasePoint(0.2, 1.0)
     t = 0.6
     p_nodes = np.array([0.8, 1.1])
     grid = transition_grid(par, fixed, t, domain, 16, p_nodes)
-    q = -L + 2.0 * L / 16 * (np.arange(16) + 0.5)
-    for i in (0, 7, 15):
-        for j in (0, 1):
-            want = transition_density(par, fixed,
-                                      PhasePoint(float(q[i]),
-                                                 float(p_nodes[j])),
-                                      t, domain)
-            assert abs(grid[i, j] - want) < 1e-12 * (1.0 + want)
+    _assert_pointwise(par, fixed, t, domain, grid, p_nodes, (0, 7, 15))
+
+
+@TRANSITION_CASES
+@given(domain=st.sampled_from(["circle", "box"]), l=st.floats(1.0, 4.0),
+       hbar=st.floats(0.02, 0.2), alpha_rel=st.floats(0.02, 0.2),
+       t=st.floats(0.0, 20.0), q_rel=st.floats(-1.0, 1.0),
+       p=st.floats(-2.0, 2.0), nq=st.integers(128, 1024),
+       offsets=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3))
+def test_transition_mode_sum_matches_pointwise(domain, l, hbar, alpha_rel, t,
+                                               q_rel, p, nq, offsets):
+    # Windows of a few hundred modes against at least 5 images per grid
+    # point: the mode sum is the cheaper form.
+    par = PhysicalParams(hbar, 1.0, alpha_rel * l, l)
+    fixed = PhasePoint(q_rel * l, p)
+    p_nodes = p + hbar / par.alpha * np.array(offsets)
+    grid, modes = _transition_branch(par, fixed, t, domain, nq, p_nodes)
+    assert modes
+    _assert_pointwise(par, fixed, t, domain, grid, p_nodes,
+                      (0, nq // 3, nq - 1))
+
+
+@TRANSITION_CASES
+@given(domain=st.sampled_from(["circle", "box"]), l=st.floats(1.0, 4.0),
+       hbar=st.floats(0.02, 0.2), alpha_rel=st.floats(0.001, 0.005),
+       gamma=st.floats(0.0, 5.0), q_rel=st.floats(-1.0, 1.0),
+       p=st.floats(-2.0, 2.0), nq=st.integers(16, 64),
+       offsets=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3))
+def test_transition_image_sum_matches_pointwise(domain, l, hbar, alpha_rel,
+                                                gamma, q_rel, p, nq,
+                                                offsets):
+    # Narrow packets: windows of thousands of modes against a few
+    # images per grid point, so the image sum is the cheaper form.
+    par = PhysicalParams(hbar, 1.0, alpha_rel * l, l)
+    t = gamma * 2.0 * par.alpha**2 / hbar
+    fixed = PhasePoint(q_rel * l, p)
+    p_nodes = p + hbar / par.alpha * np.array(offsets)
+    grid, modes = _transition_branch(par, fixed, t, domain, nq, p_nodes)
+    assert not modes
+    _assert_pointwise(par, fixed, t, domain, grid, p_nodes,
+                      (0, nq // 3, nq - 1))
+
+
+@pytest.mark.parametrize("domain", ["circle", "box"])
+def test_transition_grid_at_revival_spreading(domain):
+    # Level 0 of the c = 1/2 revival schedule: gamma ~ 700 on the circle
+    # and ~ 2800 in the box, against the quadrature oracle.
+    base = PhysicalParams(0.05, 1.0, 0.3 * math.sqrt(0.05), L)
+    level = make_schedule(Fraction(1, 2), 0.0, base, 3, domain,
+                          p_ref=2.0).levels[0]
+    par, t = level.params, level.t
+    fixed = PhasePoint(0.3, 2.0)
+    p_nodes = np.array([1.9, 2.2])
+    nq = 64
+    grid, modes = _transition_branch(par, fixed, t, domain, nq, p_nodes)
+    assert modes
+    q = -L + 2.0 * L / nq * (np.arange(nq) + 0.5)
+    for i in (5, 40):
+        for j, pj in enumerate(p_nodes):
+            ov = oracle_overlap(par, domain, fixed,
+                                PhasePoint(float(q[i]), float(pj)), t)
+            want = abs(ov) ** 2 / (2.0 * math.pi * par.hbar)
+            assert abs(grid[i, j] - want) < 1e-10
+
+
+@pytest.mark.parametrize("domain", ["circle", "box"])
+@pytest.mark.parametrize("alpha", [1e-5, 1e-7])
+def test_transition_grid_huge_window_takes_image_sum(domain, alpha):
+    # 1.26e6 modes (alpha = 1e-5) cost more than the few images; 1.26e8
+    # (alpha = 1e-7) would pass MODE_CAP.  Neither raises CapacityError.
+    par = PhysicalParams(0.05, 1.0, alpha, L)
+    fixed = PhasePoint(0.4, 1.0)
+    p_nodes = np.array([0.99, 1.0])
+    t = 2.0 * alpha**2 / par.hbar
+    grid, modes = _transition_branch(par, fixed, t, domain, 32, p_nodes)
+    assert not modes
+    _assert_pointwise(par, fixed, t, domain, grid, p_nodes, range(32))
+
+
+@pytest.mark.parametrize("domain", ["circle", "box"])
+@pytest.mark.parametrize("cap", [None, 2**14])
+def test_transition_grid_memory(domain, cap, monkeypatch):
+    # The 6.3k-mode packet of the dense evolve config on 2048 x 128, at
+    # gamma ~ 6000, where each point needs tens of images.
+    if cap is not None:
+        monkeypatch.setattr(theta_module, "BLOCK_CAP", cap)
+    par = PhysicalParams(1e-3, 1.0, 0.002, L)
+    fixed = PhasePoint(0.4, 1.0)
+    p_nodes = 1.0 + 0.05 * np.linspace(-1.0, 1.0, 128)
+    nq, t = 2048, 50.0
+    k = husimi_module._transition_window(par, fixed.p, p_nodes, domain)
+    assert len(k) > 6300
+    n_bins = nq if domain == "circle" else 2 * nq
+    lo, hi = theta_module.image_window(theta_module.overlap_decay(par, t),
+                                       -L, L, n_bins / nq * 2.0 * L)
+    # Blocks hold at most as many entries as one image sum over the grid.
+    entries = min(nq * (hi - lo + 1), theta_module.BLOCK_CAP)
+    cols = max(1, entries // max(len(k), n_bins))
+    assert cols < len(p_nodes)
+    peak = _peak_bytes(transition_grid, par, fixed, t, domain, nq, p_nodes)
+    # The float output plus eight complex (modes + bins) x columns
+    # arrays, and eight such vectors for the fixed label.
+    assert peak < 8 * nq * len(p_nodes) \
+        + 8 * 16 * (len(k) + n_bins) * (cols + 1)
 
 
 def test_schedule_construction():
