@@ -30,31 +30,40 @@ class CoveringImage:
     p_prime: float
 
 
-def covering_map(phase: PhasePoint, half_length: float) -> CoveringImage:
-    """Unfold a box phase point onto the doubled circle.
+def _unfold(q, p, half_length):
+    """Unfold box phase points onto the doubled circle, broadcast:
+    q' = q - l for p >= 0, q' = l - q for p < 0; p' = |p|."""
+    q = np.asarray(q, dtype=float)
+    l = half_length
+    return np.where(np.asarray(p) >= 0.0, q - l, l - q), np.abs(p)
 
-    q' = q - l for p >= 0, q' = l - q for p < 0; p' = |p|.
+
+def _fold_box(q_prime, half_length):
+    """Fold doubled-circle positions back into the box, broadcast.
+
+    Returns (q, sign), sign the momentum orientation of the sheet:
+    q = q' + l on [-2l, 0) (rightward), q = l - q' on [0, 2l) (leftward).
     """
+    l = half_length
+    qp = (np.asarray(q_prime, dtype=float) + 2.0 * l) % (4.0 * l) - 2.0 * l
+    right = qp < 0.0
+    return np.where(right, qp + l, l - qp), np.where(right, 1.0, -1.0)
+
+
+def covering_map(phase: PhasePoint, half_length: float) -> CoveringImage:
+    """Unfold a box phase point onto the doubled circle (``_unfold``)."""
     l = half_length
     if not -l <= phase.q <= l:
         raise DomainError(f"q={phase.q} outside the box [-{l}, {l}]")
-    if phase.p >= 0.0:
-        return CoveringImage(phase.q - l, phase.p)
-    return CoveringImage(l - phase.q, -phase.p)
+    q_prime, p_prime = _unfold(phase.q, phase.p, l)
+    return CoveringImage(float(q_prime), float(p_prime))
 
 
 def fold_position(q_prime: float, half_length: float) -> tuple[float, float]:
-    """Fold a doubled-circle position back into the box.
-
-    Returns (q, sign) where sign is the momentum orientation of the
-    sheet: q = q' + l on [-2l, 0) (rightward), q = l - q' on [0, 2l)
-    (leftward).
-    """
-    l = half_length
-    qp = (q_prime + 2.0 * l) % (4.0 * l) - 2.0 * l
-    if qp < 0.0:
-        return qp + l, 1.0
-    return l - qp, -1.0
+    """Fold a doubled-circle position back into the box (``_fold_box``):
+    returns (q, sign) as floats."""
+    q, sign = _fold_box(q_prime, half_length)
+    return float(q), float(sign)
 
 
 def _check_excluded(params: PhysicalParams, phase: PhasePoint,

@@ -18,7 +18,7 @@ from .params import (CapacityError, ContractViolation, DomainError,
                      MethodUnavailable, PhasePoint, PhysicalParams,
                      wrap_position)
 from .theta import (dispersion, gaussian_packet, image_window,
-                    periodized_overlap)
+                    periodized_overlap, theta)
 
 MODE_CAP = 10**7
 
@@ -101,9 +101,10 @@ class LimitProfile:
     """Predicted limit density: packet centers + spread + momentum.
 
     ``spread_d`` is the width D of the Gaussian spreading profile
-    (0 = delta peaks, math.inf = uniform).  For box profiles,
-    ``mirrored`` marks that the reflected family at -p is included.
-    ``weight`` is the mass carried by each center.
+    (0 = delta peaks, math.inf = uniform).  ``weight`` is the mass
+    carried by each center.  Box centers live on the doubled circle
+    [-2l, 2l), where a box point x sits at x on the sheet of momentum
+    +p and at 2l - x on the sheet of -p.
     """
 
     centers: tuple[float, ...]
@@ -112,7 +113,6 @@ class LimitProfile:
     weight: float
     domain: str
     half_length: float
-    mirrored: bool = False
 
 
 def _mode_window(params: PhysicalParams, p: float, half_length: float):
@@ -415,9 +415,9 @@ def limit_profile(structure: RevivalStructure, phase: PhasePoint, D: float,
 
     Centers sit at q + (spacing)k + a - (p/m) t_offset, k < n_prime,
     with spacing 2l/N' on the circle and 4l/N' in the box (where the
-    centers live on the doubled, unfolded circle).  D = math.inf encodes
-    the uniform profile; box uniform profiles carry both momentum signs
-    with half weight each (mirrored).
+    centers live on the doubled, unfolded circle, so each one lands in
+    the box on one of its two sheets).  D = math.inf encodes the uniform
+    profile.
     """
     if D < 0.0:
         raise DomainError("spread D must be in [0, inf]")
@@ -436,35 +436,37 @@ def limit_profile(structure: RevivalStructure, phase: PhasePoint, D: float,
     centers = tuple(
         wrap_position(phase.q + spacing * k + offset + drift, wrap_l)
         for k in range(n_prime))
-    mirrored = domain == "box" and math.isinf(D)
-    return LimitProfile(centers, D, phase.p, 1.0 / n_prime, domain, l,
-                        mirrored=mirrored)
+    return LimitProfile(centers, D, phase.p, 1.0 / n_prime, domain, l)
 
 
 def profile_position_density(profile: LimitProfile, x) -> np.ndarray:
-    """Position marginal of the limit profile on a grid.
+    """Position marginal of the limit profile at the points x.
 
-    D = 0 is not representable on a grid (delta peaks); use the center
-    list directly in that case.
+    Each center carries a Gaussian of width D periodized with period
+    P = 2l (circle) or 4l (the doubled circle of the box), all in one
+    ``theta`` call:
+    sum_n exp(-(x - c - n P)^2 / 2 D^2)
+    = (sqrt(2 pi) D / P) theta((x - c) / P, 2 pi D^2 / P^2).
+    A box point x lies on both sheets of the doubled circle, so the box
+    density is f(x) + f(2l - x) with f the periodized family.  Either
+    density integrates to 1 over [-l, l].  D = math.inf gives the
+    uniform 1/2l; D = 0 (delta peaks) has no density, so use the
+    centers directly.
     """
     x = np.asarray(x, dtype=float)
     l = profile.half_length
-    if profile.spread_d == 0.0:
-        raise MethodUnavailable("delta-peak profile has no grid density")
-    if math.isinf(profile.spread_d):
-        return np.full_like(x, 1.0 / (2.0 * l))
     D = profile.spread_d
-    period = 2.0 * l if profile.domain == "circle" else 4.0 * l
-    n_lo, n_hi = image_window(0.5 / (D * D),
-                              min(profile.centers) - float(np.max(x)),
-                              max(profile.centers) - float(np.min(x)), period)
-    out = np.zeros_like(x)
-    for c in profile.centers:
-        for n in range(n_lo, n_hi + 1):
-            out += profile.weight * np.exp(
-                -(x - c - n * period) ** 2 / (2.0 * D * D)) \
-                / math.sqrt(2.0 * math.pi * D * D)
-    return out
+    if D == 0.0:
+        raise MethodUnavailable("delta-peak profile has no grid density")
+    if math.isinf(D):
+        return np.full_like(x, 1.0 / (2.0 * l))
+    if profile.domain == "circle":
+        period, sheets = 2.0 * l, x[..., None]
+    else:
+        period, sheets = 4.0 * l, np.stack([x, 2.0 * l - x], axis=-1)
+    z = (sheets[..., None] - np.array(profile.centers)) / period
+    dens = theta(z, 2.0 * math.pi * (D / period) ** 2).real
+    return profile.weight / period * dens.sum(axis=(-2, -1))
 
 
 def transition_density(params: PhysicalParams, a: PhasePoint, b: PhasePoint,

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .box import make_box_state
+from .box import _fold_box, make_box_state
 from .circle import (circle_norm_sq, circle_overlap, eval_state, evolve,
                      limit_profile, make_circle_state, revival_structure,
                      time_scales, wrap_position)
@@ -380,9 +380,7 @@ def cmd_revival_map(cfg: ScenarioConfig, emitter: Emitter) -> int:
         peaks = _find_peaks(x, dens)
         profile = limit_profile(structure, cfg.phase(), 0.0, 0.0,
                                 cfg.domain, params)
-        predicted = sorted(
-            c for c in _fold_centers(profile, cfg.domain, l)
-            if True)
+        predicted = _fold_centers(profile, cfg.domain, l)
         match = len(peaks) == len(predicted) and all(
             min(abs(pk - pc) for pc in predicted) <= cell
             for pk in peaks)
@@ -400,16 +398,15 @@ def cmd_revival_map(cfg: ScenarioConfig, emitter: Emitter) -> int:
 
 
 def _fold_centers(profile, domain: str, l: float) -> list[float]:
-    """Fold predicted centers into the fundamental box/circle domain."""
-    centers = list(profile.centers)
+    """Predicted centers in the fundamental circle or box domain, sorted.
+
+    Each box center folds from the doubled circle onto one box point;
+    centers that fold onto the same point count once.
+    """
     if domain == "box":
-        folded = set()
-        for c in centers:
-            for cc in (c, wrap_position(2.0 * l - c, 2.0 * l)):
-                if -l <= cc <= l:
-                    folded.add(round(cc, 12))
-        return sorted(folded)
-    return sorted(centers)
+        q = _fold_box(np.array(profile.centers) - l, l)[0]
+        return sorted({round(float(c), 12) for c in q})
+    return sorted(profile.centers)
 
 
 def _find_peaks(x: np.ndarray, dens: np.ndarray) -> list[float]:

@@ -17,12 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .box import box_coefficient_table, odd_overlap
+from .box import _fold_box, _unfold, box_coefficient_table, odd_overlap
 from .circle import MODE_CAP, LimitProfile, _evolution_phases, _grid_sum, \
-    _kernels, _mode_window, comb_coefficients, time_scales
+    _kernels, _mode_window, comb_coefficients, profile_position_density, \
+    time_scales
 from .params import CapacityError, ContractViolation, DomainError, \
-    PhasePoint, PhysicalParams, wrap_position
-from .theta import image_window, overlap_decay, periodized_overlap
+    PhasePoint, PhysicalParams
+from .theta import image_window, overlap_decay, periodized_overlap, theta
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +137,8 @@ class ClassicalDensity:
             p0 = p
         else:
             # Unfold, transport backwards on the doubled circle, fold.
-            qp = np.where(p >= 0.0, q - l, l - q)
-            pp = np.abs(p)
-            back = qp - pp * t / self.mass
-            folded = (back + 2.0 * l) % (4.0 * l) - 2.0 * l
-            q0 = np.where(folded < 0.0, folded + l, l - folded)
-            sign = np.where(folded < 0.0, 1.0, -1.0)
+            qp, pp = _unfold(q, p, l)
+            q0, sign = _fold_box(qp - pp * t / self.mass, l)
             p0 = sign * pp
         return self.base(q0, p0)
 
@@ -162,9 +159,11 @@ def gaussian_mixture_density(domain: str, half_length: float, mass: float,
                              ) -> ClassicalDensity:
     """Smooth classical density from (weight, q0, p0, sq, sp) Gaussians.
 
-    The q-factor is periodized over the domain (period 2l circle, 4l box
-    after unfolding is not needed for construction: the box density is
-    simply restricted and the p reflection left to transport).
+    The q-factor is periodized with period 2l on both domains (the box
+    density is simply restricted to [-l, l], and the p reflection is
+    left to transport), one ``theta`` call per component:
+    sum_n exp(-(q - q0 - n P)^2 / 2 sq^2)
+    = (sqrt(2 pi) sq / P) theta((q - q0) / P, 2 pi sq^2 / P^2).
     """
     l = half_length
     total = sum(w for w, *_ in components)
@@ -173,14 +172,11 @@ def gaussian_mixture_density(domain: str, half_length: float, mass: float,
     def base(q, p):
         out = np.zeros(np.broadcast(q, p).shape)
         for w, q0, p0, sq, sp in components:
-            n_lo, n_hi = image_window(0.5 / (sq * sq), q0 - float(np.max(q)),
-                                      q0 - float(np.min(q)), period)
-            qacc = np.zeros_like(out)
-            for n in range(n_lo, n_hi + 1):
-                qacc += np.exp(-(q - q0 - n * period) ** 2 / (2.0 * sq * sq))
-            out += (w / total) * qacc \
+            qfac = theta((q - q0) / period,
+                         2.0 * math.pi * (sq / period) ** 2).real / period
+            out += (w / total) * qfac \
                 * np.exp(-(p - p0) ** 2 / (2.0 * sp * sp)) \
-                / (2.0 * math.pi * sq * sp)
+                / (math.sqrt(2.0 * math.pi) * sp)
         return out
 
     p_lo = min(p0 - 7.0 * sp for _, _, p0, _, sp in components)
@@ -380,51 +376,32 @@ def pair_profile(family: TestFamily, index: int, profile: LimitProfile
                  ) -> float:
     """Closed-form pairing of a limit profile with one test function.
 
-    Circle, finite D: the harmonic picks up the Gaussian damping factor
-    exp(-(pi j D / l)^2 / 2) at each center.  D = inf keeps only the
-    constant harmonic.  Box profiles are paired on the unfolded doubled
-    circle, where the periodized Gaussian profile lives; the reflected
-    family contributes through the sign-symmetrized momentum factor.
+    D = inf keeps only the constant harmonic (uniform over the domain;
+    in the box for each momentum sign, half weight each).  Circle,
+    finite D: the harmonic picks up the Gaussian damping factor
+    exp(-(pi j D / l)^2 / 2) at each center.  Box profiles live on the
+    unfolded doubled circle; both of its sheets enter through the
+    sign-symmetrized momentum factor.  At D = 0 each center folds onto
+    one box point; at finite D the two-sheet ``profile_position_density``
+    is paired by midpoint quadrature on 4096 points.
     """
     l = profile.half_length
     D = profile.spread_d
-    if profile.domain == "circle":
-        g = float(family.momentum_factor(index, profile.momentum))
-        j = family.harmonic_order(index)
-        if math.isinf(D):
-            return g if j == 0 else 0.0
-        damp = math.exp(-0.5 * (math.pi * j * D / l) ** 2)
-        h = family.position_factor(index, np.array(profile.centers))
-        return float(profile.weight * damp * np.sum(h)) * g
-    # Box: the sign-symmetrized momentum factor weights both the direct
-    # family (momentum +p, centers C_k) and the reflected family
-    # (momentum -p, centers 2l - C_k), all taken modulo 4l.
     g = float(family.momentum_factor(index, profile.momentum))
     j = family.harmonic_order(index)
     if math.isinf(D):
-        # Uniform over the box for each momentum sign, half weight each.
         return g if j == 0 else 0.0
+    if profile.domain == "circle":
+        damp = math.exp(-0.5 * (math.pi * j * D / l) ** 2)
+        h = family.position_factor(index, np.array(profile.centers))
+        return float(profile.weight * damp * np.sum(h)) * g
     if D == 0.0:
-        centers = list(profile.centers) \
-            + [wrap_position(2.0 * l - c, 2.0 * l) for c in profile.centers]
-        total = 0.0
-        for c in centers:
-            if -l <= c <= l:
-                total += profile.weight \
-                    * float(family.position_factor(index, np.array([c]))[0])
-        return total * g
+        q = _fold_box(np.array(profile.centers) - l, l)[0]
+        h = family.position_factor(index, q)
+        return float(profile.weight * np.sum(h)) * g
     n = 4096
     qbox = -l + 2.0 * l / n * (np.arange(n) + 0.5)
-    dens = np.zeros(n)
-    centers = list(profile.centers) \
-        + [wrap_position(2.0 * l - c, 2.0 * l) for c in profile.centers]
-    m_lo, m_hi = image_window(0.5 / (D * D), min(centers) - l,
-                              max(centers) + l, 4.0 * l)
-    for c in centers:
-        for m in range(m_lo, m_hi + 1):
-            dens += profile.weight * np.exp(
-                -(qbox - c - 4.0 * m * l) ** 2 / (2.0 * D * D)) \
-                / math.sqrt(2.0 * math.pi * D * D)
+    dens = profile_position_density(profile, qbox)
     h = family.position_factor(index, qbox)
     return float(np.sum(dens * h)) * (2.0 * l / n) * g
 

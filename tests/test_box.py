@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrevival import circle
-from qrevival.box import (box_coefficients, box_norm_sq, box_overlap,
-                          covering_map, fold_position, make_box_state,
-                          theta_inv_map, theta_map)
+from qrevival.box import (_fold_box, _unfold, box_coefficients, box_norm_sq,
+                          box_overlap, covering_map, fold_position,
+                          make_box_state, theta_inv_map, theta_map)
 from qrevival.circle import eval_state, evolve, time_scales
 from qrevival.oracles import (QuadratureSpec, bounce_trajectory, quad_inner,
                               read_golden)
@@ -38,6 +38,20 @@ def test_covering_map_matches_bounce_oracle(rng):
             bounced = bounce_trajectory(ph, L, par.mass, t)
             assert abs(q_fold - bounced.q) < 1e-10
             assert abs(sign * image.p_prime - bounced.p) < 1e-12
+
+
+def test_fold_is_scalar_fold_position_elementwise(rng):
+    q_prime = np.concatenate([rng.uniform(-9.0 * L, 9.0 * L, 200),
+                              L * np.arange(-8, 9)])
+    q, sign = _fold_box(q_prime, L)
+    assert [(float(a), float(b)) for a, b in zip(q, sign)] \
+        == [fold_position(float(v), L) for v in q_prime]
+    # Folding undoes unfolding, on both sheets.
+    qb = rng.uniform(-L, L, 100)
+    pb = rng.uniform(-2.0, 2.0, 100)
+    back, sign = _fold_box(_unfold(qb, pb, L)[0], L)
+    assert np.max(np.abs(back - qb)) < 1e-14
+    assert np.array_equal(sign, np.where(pb >= 0.0, 1.0, -1.0))
 
 
 def test_covering_map_rejects_outside():

@@ -101,15 +101,58 @@ def test_huge_window_evolve_exit_0(tmp_path):
     assert rows.shape == (512, 3) and np.all(np.isfinite(rows))
 
 
-def test_revival_map_matches(tmp_path):
-    code, out = run_cli(tmp_path, "revival-map",
-                        {"hbar": 0.02, "alpha": 0.02 * math.pi, "q": 0.5,
-                         "fractions": ["1/3", "1/2"], "grid": 512})
+# The circle config, and the box config of the benchmark's revival map.
+REVIVAL_MAPS = {
+    "circle": ({"hbar": 0.02, "alpha": 0.02 * math.pi, "q": 0.5,
+                "fractions": ["1/3", "1/2"], "grid": 512},
+               {"1/3": "3", "1/2": "1"}),
+    "box": ({"domain": "box", "hbar": 0.02, "alpha": 0.0628, "q": 0.5,
+             "fractions": ["1/3", "1/2", "1/4"], "grid": 1024},
+            {"1/3": "3", "1/2": "1", "1/4": "2"}),
+}
+
+
+@pytest.mark.parametrize("domain", ["circle", "box"])
+def test_revival_map_matches(tmp_path, domain):
+    config, want = REVIVAL_MAPS[domain]
+    code, out = run_cli(tmp_path, "revival-map", config)
     assert code == 0
     lines = (out / "revival_map.csv").read_text().splitlines()[1:]
     assert all(line.endswith("true") for line in lines)
     counts = {line.split(",")[0]: line.split(",")[2] for line in lines}
-    assert counts["1/3"] == "3" and counts["1/2"] == "1"
+    assert counts == want
+
+
+def test_sweep_scenarios_run_and_repeat(tmp_path):
+    base = ["level", "hbar (action)", "alpha (length)", "t (time)"]
+    columns = {
+        "transition": base + ["residual", "verdict"],
+        "point": base + ["residual_delta", "verdict_delta",
+                         "residual_profile", "verdict_profile"],
+    }
+    for scenario, header in columns.items():
+        config = {"domain": "circle", "scenario": scenario, "q": 0.7,
+                  "regime_c": "0", "regime_d": "1", "levels": 4,
+                  "grid": 256, "p_grid": 32}
+        runs = []
+        for name in ("first", "second"):
+            sub = tmp_path / scenario / name
+            sub.mkdir(parents=True)
+            code, out = run_cli(sub, "sweep", config)
+            assert code == 0
+            runs.append((out / "sweep.csv").read_bytes())
+        assert runs[0] == runs[1]
+        lines = runs[0].decode().splitlines()
+        assert lines[0].split(",") == header
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
+        residuals = [float(r[i]) for r in rows
+                     for i, col in enumerate(header)
+                     if col.startswith("residual")]
+        assert np.all(np.isfinite(residuals))
+        assert all(r[i] in ("true", "false") for r in rows
+                   for i, col in enumerate(header)
+                   if col.startswith("verdict"))
 
 
 def test_determinism_byte_identical(tmp_path):

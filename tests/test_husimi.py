@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from test_circle import _peak_bytes
 from test_periodized_overlap import oracle_overlap
 
-from qrevival.circle import (limit_profile, revival_structure,
-                             transition_density)
+from qrevival.circle import (limit_profile, profile_position_density,
+                             revival_structure, transition_density)
 from qrevival.husimi import (DensityOperatorMixture, TestFamily,
                              classical_transport, density_mass,
                              gaussian_mixture_density, grid_density,
@@ -96,19 +96,41 @@ def test_classical_transport_circle_period():
     assert a.shape == b.shape
 
 
-def test_box_transport_matches_bounce():
+def test_box_transport_matches_bounce(rng):
     from qrevival.oracles import bounce_trajectory
+    # One component per momentum sign, so both sheets carry mass.
     sigma = gaussian_mixture_density("box", L, 1.0,
-                                     [(1.0, 0.3, 1.5, 0.3, 0.2)])
-    t = 7.3
-    moved = classical_transport(sigma, t)
-    # sigma_t(flow_t(z)) = sigma(z) pointwise.
-    for z in (PhasePoint(0.2, 1.4), PhasePoint(-0.8, 1.7)):
+                                     [(0.6, 0.3, 1.5, 0.3, 0.2),
+                                      (0.4, -1.2, -1.1, 0.4, 0.3)])
+    # sigma_t(flow_t(z)) = sigma(z) pointwise, after 1 to 13 bounces.
+    for _ in range(40):
+        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        z = PhasePoint(rng.uniform(-0.95 * L, 0.95 * L),
+                       sign * rng.uniform(0.8, 2.0))
+        t = rng.uniform(8.0, 40.0)
+        moved = classical_transport(sigma, t)
         end = bounce_trajectory(z, L, 1.0, t)
         before = float(sigma.evaluate(np.array([z.q]), np.array([z.p]))[0])
         after = float(moved.evaluate(np.array([end.q]),
                                      np.array([end.p]))[0])
         assert abs(before - after) < 1e-10
+
+
+def test_mixture_density_matches_image_sum():
+    components = [(0.5, 0.4, 2.0, 0.05, 0.15), (0.3, -2.0, -1.0, 0.4, 0.3),
+                  (0.2, 1.0, 0.5, 2.5, 0.2)]
+    q = np.linspace(-L, L, 97)[:, None]
+    p = np.linspace(-3.0, 3.0, 61)[None, :]
+    want = np.zeros((97, 61))
+    for w, q0, p0, sq, sp in components:
+        qfac = sum(np.exp(-(q - q0 - 2.0 * n * L) ** 2 / (2.0 * sq * sq))
+                   for n in range(-6, 7))
+        want += w * qfac * np.exp(-(p - p0) ** 2 / (2.0 * sp * sp)) \
+            / (2.0 * math.pi * sq * sp)
+    for domain in ("circle", "box"):
+        got = gaussian_mixture_density(domain, L, 1.0, components) \
+            .evaluate(q, p)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(want)
 
 
 def test_density_mass_one():
@@ -183,19 +205,76 @@ def test_pair_profile_damping_ratio():
                 < 1e-10
 
 
-def test_pair_profile_against_grid_quadrature():
-    from qrevival.circle import profile_position_density
+def _image_sum_density(profile, x):
+    """The profile's Gaussians summed over images |n| <= 3: period 2l on
+    the circle; in the box period 4l, on both sheets (x and 2l - x)."""
+    l, D = profile.half_length, profile.spread_d
+    if math.isinf(D):
+        return np.full_like(x, 1.0 / (2.0 * l))
+    period = 2.0 * l if profile.domain == "circle" else 4.0 * l
+    sheets = (x,) if profile.domain == "circle" else (x, 2.0 * l - x)
+    dens = np.zeros_like(x)
+    for y in sheets:
+        for c in profile.centers:
+            for n in range(-3, 4):
+                dens += np.exp(-(y - c - n * period) ** 2 / (2.0 * D * D))
+    return profile.weight * dens / math.sqrt(2.0 * math.pi * D * D)
+
+
+def _delta_points(profile):
+    """Where the D = 0 profile's centers land in [-l, l): their images
+    |n| <= 3, on both sheets in the box."""
+    l = profile.half_length
+    period = 2.0 * l if profile.domain == "circle" else 4.0 * l
+    points = []
+    for c in profile.centers:
+        for n in range(-3, 4):
+            y = c + n * period
+            sheets = (y,) if profile.domain == "circle" else (y, 2.0 * l - y)
+            points += [v for v in sheets if -l <= v < l]
+    return np.array(points)
+
+
+@pytest.mark.parametrize("D", [0.0, 0.05, 0.4, 1.0, math.inf])
+@pytest.mark.parametrize("domain", ["circle", "box"])
+def test_pair_profile_against_grid_quadrature(domain, D):
     par = PhysicalParams(0.05, 1.0, 0.2, L)
-    profile = limit_profile(revival_structure(1, 3, L), PhasePoint(0.3, 1.2),
-                            0.4, 0.0, "circle", par)
-    fam = TestFamily("circle", L, (1.2,), 0.3, J=3)
-    n = 8192
+    fam = TestFamily(domain, L, (1.2,), 0.3, J=3)
+    # pair_profile's finite-D box branch is this midpoint rule; the box
+    # density is not periodic on [-l, l], so the rule's own error (about
+    # 4e-9 for the sine harmonics here) would show at another n.
+    n = 4096
+    x = -L + 2.0 * L / n * (np.arange(n) + 0.5)
+    for N in (2, 3, 4):
+        profile = limit_profile(revival_structure(1, N, L),
+                                PhasePoint(0.3, 1.2), D, 0.0, domain, par)
+        if D == 0.0:
+            points = _delta_points(profile)
+            assert len(points) == len(profile.centers)
+        else:
+            dens = _image_sum_density(profile, x)
+        for idx in range(fam.size):
+            g = float(fam.momentum_factor(idx, 1.2))
+            if D == 0.0:
+                want = profile.weight \
+                    * float(np.sum(fam.position_factor(idx, points))) * g
+            else:
+                want = float(np.sum(dens * fam.position_factor(idx, x))) \
+                    * (2.0 * L / n) * g
+            assert abs(pair_profile(fam, idx, profile) - want) < 1e-9
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("domain", ["circle", "box"])
+def test_profile_density_integrates_to_one(domain, N):
+    par = PhysicalParams(0.05, 1.0, 0.2, L)
+    profile = limit_profile(revival_structure(1, N, L), PhasePoint(0.4, 2.0),
+                            0.3, 0.0, domain, par)
+    n = 4096
     x = -L + 2.0 * L / n * (np.arange(n) + 0.5)
     dens = profile_position_density(profile, x)
-    for idx in range(0, fam.size, 2):
-        grid = float(np.sum(dens * fam.position_factor(idx, x))) \
-            * (2.0 * L / n) * float(fam.momentum_factor(idx, 1.2))
-        assert abs(pair_profile(fam, idx, profile) - grid) < 1e-9
+    assert abs(float(np.sum(dens)) * (2.0 * L / n) - 1.0) < 1e-10
+    assert np.max(np.abs(dens - _image_sum_density(profile, x))) < 1e-12
 
 
 def _transition_branch(par, fixed, t, domain, nq, p_nodes):
