@@ -134,12 +134,20 @@ def comb_coefficients(params: PhysicalParams, k, q, p, half_length):
           exp{-a^2 (pi k / l - p/hbar)^2 - i pi k q / l},
 
     broadcast over ``k``, ``q``, ``p`` and the half-length l.
+
+    The coefficient is the product of two factors, each built on its own
+    broadcast shape: the real envelope
+    (pi a^2 / 2 l^4)^(1/4) sqrt(2 l) exp{-a^2 (pi k / l - p/hbar)^2} on
+    that of (k, p, l), and the phase exp(-i pi k q / l) on that of
+    (k, q, l), its angle rounded in real arithmetic.  A comb at q = 0
+    costs K phases for any number of momenta, and a table over (q, p)
+    nodes costs one complex exponential per entry.
     """
     l = half_length
     a2 = params.alpha**2
     pref = (math.pi * a2 / (2.0 * l**4)) ** 0.25 * np.sqrt(2.0 * l)
-    return pref * np.exp(-a2 * (math.pi * k / l - p / params.hbar) ** 2
-                         - 1j * math.pi * k * q / l)
+    envelope = pref * np.exp(-a2 * (math.pi * k / l - p / params.hbar) ** 2)
+    return envelope * np.exp(-1j * (math.pi * k * q / l))
 
 
 def circle_coefficients(params: PhysicalParams, phase: PhasePoint,

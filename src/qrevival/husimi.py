@@ -351,13 +351,21 @@ class TestFamily:
         return self.position_factor(index, q) * self.momentum_factor(index, p)
 
 
-def pair_sampled(family: TestFamily, index: int, q: np.ndarray,
-                 p: np.ndarray, values: np.ndarray, dq: float, dp: float
-                 ) -> float:
-    """Pair a density sampled on a product grid with one test function."""
-    tau = family.position_factor(index, q)[:, None] \
-        * family.momentum_factor(index, p)[None, :]
-    return float(np.sum(values * tau)) * dq * dp
+def pair_sampled(family: TestFamily, index, q: np.ndarray, p: np.ndarray,
+                 values: np.ndarray, dq: float, dp: float):
+    """Pair a density sampled on a product grid with test functions.
+
+    ``index`` is one family index, which gives a float, or a sequence of
+    them, which gives an array of the pairings in that order.  All of
+    them come from one contraction: with H the position factors
+    (len(q) x indices) and G the momentum factors (len(p) x indices),
+    the pairings are sum(H * (values @ G), axis 0) dq dp.
+    """
+    idx = np.atleast_1d(index)
+    h = np.stack([family.position_factor(i, q) for i in idx], axis=1)
+    g = np.stack([family.momentum_factor(i, p) for i in idx], axis=1)
+    out = np.sum(h * (values @ g), axis=0) * dq * dp
+    return float(out[0]) if np.ndim(index) == 0 else out
 
 
 def pair_classical(family: TestFamily, index: int, sigma: ClassicalDensity,

@@ -62,6 +62,42 @@ def test_coefficients_match_projection():
         assert abs(got - want) < 1e-12
 
 
+def _comb_direct(par, k, q, p, l):
+    """The comb coefficient as one complex exponential."""
+    a2 = par.alpha**2
+    pref = (math.pi * a2 / (2.0 * l**4)) ** 0.25 * np.sqrt(2.0 * l)
+    return pref * np.exp(-a2 * (math.pi * k / l - p / par.hbar) ** 2
+                         - 1j * math.pi * k * q / l)
+
+
+def _comb_cases():
+    par = PhysicalParams(0.1, 1.0, 0.3, L)
+    small = PhysicalParams(0.002, 1.0, 0.3 * math.sqrt(0.002), L)
+    nodes = np.linspace(0.96, 1.04, 7)[:, None]
+    return {
+        # The resolution oracle: modes x a column of positions.
+        "k-by-q-column": (par, np.arange(-50, 53),
+                          np.linspace(-L, L, 256)[:, None], 0.5, L),
+        # Transition grids: modes as a column, q = 0, p' columns.
+        "k-by-p-columns": (small, np.arange(-40, 800)[:, None], 0.0,
+                           np.linspace(0.2, 1.8, 16), L),
+        # Box tables of the random box: nodes x modes, one l per node.
+        "nodes-by-K-array-l": (PhysicalParams(0.05, 1.0, 0.2, 1.0),
+                               np.arange(-40, 41), 0.3 * nodes - nodes,
+                               np.full_like(nodes, 1.0), 2.0 * nodes),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_comb_cases()))
+def test_comb_coefficients_match_direct_formula(case):
+    par, k, q, p, l = _comb_cases()[case]
+    got = circle.comb_coefficients(par, k, q, p, l)
+    want = _comb_direct(par, k, q, p, l)
+    assert got.shape == want.shape
+    big = np.abs(want) > 1e-3 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)[big] / np.abs(want)[big]) < 1e-13
+
+
 def test_norm_series_vs_quadrature(rng):
     spec = QuadratureSpec(subdivisions=16)
     for _ in range(4):

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from qrevival import cli
+from qrevival.box import fold_position
 from qrevival.cli import (ConfigError, emit_config, main, parse_config,
                           verify_manifest)
+from qrevival.husimi import TestFamily
 
 
 def run_cli(tmp_path, command, config):
@@ -44,6 +47,8 @@ def test_validation_messages_name_fields():
         parse_config({"command": "sweep", "levels": 2})
     with pytest.raises(ConfigError, match="levels"):
         parse_config({"command": "sweep", "levels": 3})
+    with pytest.raises(ConfigError, match="family_j"):
+        parse_config({"command": "sweep", "family_j": -1})
 
 
 def test_evolve_revival_round(tmp_path):
@@ -153,6 +158,76 @@ def test_sweep_scenarios_run_and_repeat(tmp_path):
         assert all(r[i] in ("true", "false") for r in rows
                    for i, col in enumerate(header)
                    if col.startswith("verdict"))
+
+
+def test_box_sweep_pairs_both_momentum_windows(tmp_path, monkeypatch):
+    # At t = 4 the packet from (0.5, 1) has hit the right wall: it sits
+    # at q = 1.78 with p = -1, outside a p > 0 window.  Its Husimi
+    # pairings must follow the folded delta, harmonics' signs included.
+    hbar = 0.002
+    alpha = 0.3 * math.sqrt(hbar)
+    config = {"domain": "box", "hbar": hbar, "alpha": alpha, "q": 0.5,
+              "p": 1.0, "scenario": "point", "regime_c": "0",
+              # t = 2 m D alpha / hbar = 4 at level 0.
+              "regime_d": repr(2.0 * hbar / alpha), "levels": 4,
+              "grid": 128, "p_grid": 32, "family_j": 2,
+              "family_p_width": 0.2}
+    pairings = []
+    pair = cli.pair_sampled
+
+    def spy(*args):
+        out = pair(*args)
+        pairings.extend(np.atleast_1d(out))
+        return out
+
+    monkeypatch.setattr(cli, "pair_sampled", spy)
+    code, out = run_cli(tmp_path, "sweep", config)
+    assert code == 0
+    family = TestFamily("box", math.pi, (1.0,), 0.2, J=2)
+    q_t, sign = fold_position(0.5 - math.pi + 4.0, math.pi)
+    assert sign == -1.0 and abs(q_t - 1.7832) < 1e-4
+    targets = [float(family.value(i, q_t, 1.0)) for i in range(family.size)]
+    assert np.array_equal(np.sign(targets), [1, -1, 1, -1, -1])
+    level0 = np.array(pairings[:family.size])
+    assert np.array_equal(np.sign(level0), np.sign(targets))
+    assert np.max(np.abs(level0 - targets)) < 0.15
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert float(rows[0].split(",")[4]) < 0.15
+
+
+def test_box_sweep_rejects_overlapping_windows():
+    with pytest.raises(ConfigError, match="family_p_width"):
+        parse_config({"command": "sweep", "domain": "box", "p": 0.5,
+                      "family_p_width": 0.2})
+
+
+CSV_TABLES = {
+    "floats": (["a", "b"], [[math.nan, -0.0], [math.inf, 5e-324],
+                            [-math.inf, 1e308], [np.float64(0.1), 2.5]]),
+    "scalars": (["f32", "int", "i64", "bool", "np_bool", "str"],
+                [[np.float32(0.1), 3, np.int64(-7), True, np.bool_(False),
+                  "1/3"],
+                 [np.float32(-2.5), 0, np.int64(2**40), False,
+                  np.bool_(True), "x y"]]),
+    "mixed": (["m1", "m2", "m3"], [[1.5, "a", True], [2, 0.25, 1.0],
+                                   [np.int64(4), np.float32(0.5),
+                                    math.nan]]),
+    "empty": (["only", "header"], []),
+}
+
+
+def test_csv_bytes_match_fmt_join(tmp_path):
+    emitter = cli.Emitter(parse_config({"command": "verify",
+                                        "out_dir": str(tmp_path)}))
+    for name, (columns, rows) in CSV_TABLES.items():
+        emitter.add(name, columns, rows)
+    emitter.flush()
+    for name, (columns, rows) in CSV_TABLES.items():
+        lines = [",".join(columns)]
+        lines += [",".join(cli._fmt(v) for v in row) for row in rows]
+        want = ("\n".join(lines) + "\n").encode()
+        assert (tmp_path / (name + ".csv")).read_bytes() == want
+    assert verify_manifest(str(tmp_path))
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -18,8 +18,8 @@ from qrevival.husimi import (DensityOperatorMixture, TestFamily,
                              gaussian_mixture_density, grid_density,
                              husimi, husimi_grid, kozlov_limit,
                              make_schedule, pair_classical, pair_profile,
-                             residual_trend_ok, rho_from_classical,
-                             transition_grid)
+                             pair_sampled, residual_trend_ok,
+                             rho_from_classical, transition_grid)
 from qrevival.params import (ContractViolation, DomainError, PhasePoint,
                              PhysicalParams)
 
@@ -185,6 +185,28 @@ def test_box_family_momentum_symmetry():
     p = np.array([0.7])
     assert abs(float(fam.momentum_factor(0, p)[0])
                - float(fam.momentum_factor(0, -p)[0])) < 1e-15
+
+
+@pytest.mark.parametrize("domain", ["circle", "box"])
+def test_pair_sampled_all_indices_match_single(domain, rng):
+    fam = TestFamily(domain, L, (1.0, 1.6, 2.2), 0.3, J=3)
+    q = np.linspace(-L, L, 96, endpoint=False) + L / 96
+    p = np.linspace(0.2, 3.0, 40)
+    values = rng.uniform(0.0, 2.0, (len(q), len(p)))
+    dq, dp = q[1] - q[0], p[1] - p[0]
+    got = pair_sampled(fam, range(fam.size), q, p, values, dq, dp)
+    assert got.shape == (fam.size,)
+    for idx in range(fam.size):
+        # One test function as a full grid, summed against the samples.
+        tau = fam.position_factor(idx, q)[:, None] \
+            * fam.momentum_factor(idx, p)[None, :]
+        want = float(np.sum(values * tau)) * dq * dp
+        assert abs(got[idx] - want) <= 1e-13 * (1.0 + abs(want))
+        one = pair_sampled(fam, idx, q, p, values, dq, dp)
+        assert type(one) is float
+        assert abs(one - want) <= 1e-13 * (1.0 + abs(want))
+    picked = pair_sampled(fam, [4, 0, 4], q, p, values, dq, dp)
+    assert np.allclose(picked, got[[4, 0, 4]], rtol=1e-13, atol=1e-13)
 
 
 def test_pair_profile_damping_ratio():
