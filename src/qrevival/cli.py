@@ -483,13 +483,23 @@ def cmd_sweep(cfg: ScenarioConfig, emitter: Emitter) -> int:
     return EXIT_OK
 
 
-def _sweep_profile(cfg: ScenarioConfig, level, c: Fraction, d: float):
+def _sweep_profile(cfg: ScenarioConfig, level, c: Fraction, d: float,
+                   backward: bool = False):
+    """Limit profile at the level's time, offset from c t_rev.
+
+    The evolved packet drifts forward, to centres at q + p offset / m.
+    A transition grid |((q, p), U_t(q', p'))|^2 peaks where U_t carries
+    (q', p') onto (q, p), at q' = q - p t / m, so ``backward`` drifts
+    the profile the other way; the revival offsets are symmetric under
+    that reflection.
+    """
     par = level.params
     l = par.half_length
     structure = revival_structure(c.numerator, c.denominator, l)
     scales = time_scales(par, cfg.p, cfg.domain)
     offset = level.t - float(c) * scales.t_rev
-    return limit_profile(structure, cfg.phase(), d, -offset, cfg.domain, par)
+    return limit_profile(structure, cfg.phase(), d,
+                         offset if backward else -offset, cfg.domain, par)
 
 
 def _sweep_p_nodes(cfg: ScenarioConfig) -> np.ndarray:
@@ -517,7 +527,7 @@ def _transition_residual(cfg: ScenarioConfig, level, c: Fraction, d: float,
     grid = transition_grid(par, cfg.phase(), level.t, cfg.domain, nq,
                            p_nodes)
     q = -l + 2.0 * l / nq * (np.arange(nq) + 0.5)
-    profile = _sweep_profile(cfg, level, c, d)
+    profile = _sweep_profile(cfg, level, c, d, backward=True)
     got = pair_sampled(family, range(family.size), q, p_nodes, grid,
                        2.0 * l / nq, 8.0 * cfg.family_p_width / cfg.p_grid)
     want = np.array([pair_profile(family, idx, profile)

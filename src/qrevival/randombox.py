@@ -7,8 +7,12 @@ to a limit P_inf(x) that splits into a "uniform part" minus a
 state-dependent correction Delta(x).
 
 Every density is a Gauss-Legendre average over l, computed in one batch:
-one coefficient table for all nodes (``RandomBoxModel.coefficient_table``)
-and node x point x mode kernels evaluated on blocks of nodes.
+one coefficient table for all nodes (``RandomBoxModel.coefficient_table``),
+and on each block of nodes one Chebyshev series in cos theta per node.
+With theta = pi (x - l) / 2l, the product of two box modes is
+sin k theta sin k' theta = [T_|k-k'|(cos theta) - T_(k+k')(cos theta)] / 2,
+so any quadratic form in the modes is a series of degree 2K, summed by
+Clenshaw's recurrence at one sine per (node, point).
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ import numpy as np
 from .box import box_coefficient_table
 from .params import ContractViolation, DomainError, PhysicalParams
 
-# Entries of one (nodes x points x modes) block of the size quadrature.
-NODE_BLOCK_CAP = 2**18
+# Entries of one block of size-quadrature nodes, counted by each node's
+# largest temporary: max(points, Chebyshev degree + 1).
+NODE_BLOCK_CAP = 2**16
 
 
 @dataclass(frozen=True)
@@ -120,25 +125,44 @@ def odd_periodic_extend(psi: Callable[[np.ndarray], np.ndarray], x,
     return sign * np.asarray(psi(sign * u))
 
 
-def _half_angles(l: np.ndarray, k: np.ndarray, x: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """pi k (x - l) / 2l on a (nodes x points x modes) block, and the
-    (nodes x points x 1) mask |x| <= l.  Points outside a box get angle
-    0, so the sine basis vanishes there."""
-    lc = l[:, None, None]
-    inside = np.abs(x)[:, None] <= lc
-    angles = np.where(inside, x[:, None] - lc, 0.0) * k
-    angles *= math.pi
-    angles /= 2.0 * lc
-    return angles, inside
-
-
-def _masked_sine_basis(l: np.ndarray, k: np.ndarray, x: np.ndarray
+def _masked_sine_basis(l: float, k: np.ndarray, x: np.ndarray
                        ) -> np.ndarray:
-    """sin(pi k (x - l) / 2l) / sqrt(l) per node, zero outside each box."""
-    basis = np.sin(_half_angles(l, k, x)[0])
-    basis /= np.sqrt(l)[:, None, None]
-    return basis
+    """sin(pi k (x - l) / 2l) / sqrt(l) on a (points x modes) block, zero
+    where |x| > l.  Only ``p_inf(method="inner")`` uses it, so that
+    cross-check stays independent of ``_chebyshev_density``."""
+    inside = np.abs(x)[:, None] <= l
+    angles = np.where(inside, x[:, None] - l, 0.0) * k
+    angles *= math.pi / (2.0 * l)
+    return np.sin(angles) / math.sqrt(l)
+
+
+def _chebyshev_density(l: np.ndarray, coeffs: np.ndarray, x: np.ndarray
+                       ) -> np.ndarray:
+    """sum_m coeffs[n, m] T_m(u) with u = cos(pi (x - l_n) / 2 l_n), on a
+    (nodes x points) block, zero where |x| > l_n.
+
+    Clenshaw's recurrence (Math. Comp. 9, 118 (1955)) in Reinsch's form,
+    on d_m = b_m - b_(m+1) and mu = 2 (u - 1) = -4 sin^2(theta / 2): one
+    sine per (node, point) and four array operations per degree.  Plain
+    Clenshaw on a rounded u loses accuracy near the walls, where u -> 1
+    and T_m'(1) = m^2: against a 30-digit sum at degree 1988 it was off
+    by 6.7e-13 of the maximum, this form by 2.4e-15.  Points with x < 0
+    use T_m(-u) = (-1)^m T_m(u) at -x, so mu stays in [-2, 0].
+    """
+    lc = l[:, None]
+    out = np.empty((len(l), len(x)))
+    parity = np.where(np.arange(coeffs.shape[1]) % 2, -1.0, 1.0)
+    for side, a in ((x >= 0.0, coeffs), (x < 0.0, coeffs * parity)):
+        mu = np.sin((np.abs(x[side]) - lc) * (0.25 * math.pi / lc))
+        mu *= -4.0 * mu
+        b, d, mu_b = np.zeros_like(mu), np.zeros_like(mu), np.empty_like(mu)
+        for a_m in a.T[:0:-1]:
+            d += np.multiply(mu, b, out=mu_b)
+            d += a_m[:, None]
+            b += d
+        mu *= 0.5 * b
+        out[:, side] = mu + d + a[:, :1]
+    return np.where(np.abs(x) <= lc, out, 0.0)
 
 
 def _node_blocks(n_nodes: int, per_node: int) -> list[slice]:
@@ -231,6 +255,17 @@ def p_xt(model: RandomBoxModel, x, t: float,
 
     ``order`` pins the size-quadrature order; by default it adapts to
     the requested time.
+
+    At a node l with phased coefficients c_k (k = 1..K), the density
+    (chi_l / l) |sum_k c_k sin k theta|^2, theta = pi (x - l) / 2l, is by
+    sin k theta sin k' theta = [T_|k-k'|(u) - T_(k+k')(u)] / 2, u = cos
+    theta, the Chebyshev series sum_m a_m T_m(u) of degree 2K with
+    a = (A' - B) / 2.  A_m = Re sum_k c_(k+m) conj(c_k) is the
+    autocorrelation, doubled for m > 0 (A'_0 = A_0, A'_m = 2 A_m), and
+    B_m = Re sum_(k+k'=m) c_k conj(c_k') the convolution.  Both come
+    from one real FFT of length 2K + 1 of (Re c, Im c).  The circular
+    correlation is exact for lags below K and is read only there.  Node
+    blocks are sized by max(points, 2K + 1) entries per node.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if order is None:
@@ -239,17 +274,28 @@ def p_xt(model: RandomBoxModel, x, t: float,
         nodes, weights, _ = _gl_nodes(model, 0.0, order)
     par = model.template
     k, table = model.coefficient_table(nodes)
-    wf = weights * model.f_density(nodes)
+    n_k = len(k)
+    n_fft = 2 * n_k + 1
+    wf = weights * model.f_density(nodes) / nodes
     out = np.zeros_like(x)
-    for blk in _node_blocks(len(nodes), len(x) * len(k)):
+    for blk in _node_blocks(len(nodes), max(len(x), n_fft)):
         l = nodes[blk]
         phases = np.exp(-1j * par.hbar * t
                         * (math.pi * k / (2.0 * l[:, None])) ** 2
                         / (2.0 * par.mass))
         c = table[blk] * phases
-        # Real basis times (Re c, Im c): psi's real and imaginary parts.
-        psi = _masked_sine_basis(l, k, x) @ np.stack([c.real, c.imag], -1)
-        out += wf[blk] @ np.sum(psi * psi, axis=-1)
+        # Column k holds mode k, so lags and index sums are degrees.
+        parts = np.zeros((2, len(l), n_k + 1))
+        parts[0, :, 1:] = c.real
+        parts[1, :, 1:] = c.imag
+        f = np.fft.rfft(parts, n_fft)
+        corr, conv = np.fft.irfft(
+            [np.sum(f.real**2 + f.imag**2, axis=0), np.sum(f * f, axis=0)],
+            n_fft)
+        coeffs = -0.5 * conv
+        coeffs[:, 0] += 0.5 * corr[:, 0]
+        coeffs[:, 1:n_k] += corr[:, 1:n_k]
+        out += wf[blk] @ _chebyshev_density(l, coeffs, x)
     return out
 
 
@@ -268,18 +314,19 @@ def delta_correction(model: RandomBoxModel, x) -> np.ndarray:
     """Correction Delta(x) with P_inf(x) = uniform_part(x) - Delta(x).
 
     Spectrally, Delta integrates (chi_l / 2l) sum_k |a_k|^2
-    cos(pi k (x - l) / l) over the size density.
+    cos(pi k (x - l) / l) over the size density.  cos 2k theta is
+    T_2k(cos theta), so each node is a Chebyshev series with |a_k|^2 at
+    degree 2k; node blocks are sized by max(points, 2K + 1).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     nodes, weights, _ = _gl_nodes(model, 0.0)
     k, table = model.coefficient_table(nodes)
-    power = table.real**2 + table.imag**2
+    coeffs = np.zeros((len(nodes), 2 * len(k) + 1))
+    coeffs[:, 2::2] = table.real**2 + table.imag**2
     wf = weights * model.f_density(nodes) / (2.0 * nodes)
     out = np.zeros_like(x)
-    for blk in _node_blocks(len(nodes), len(x) * len(k)):
-        angles, inside = _half_angles(nodes[blk], k, x)
-        cosses = np.cos(2.0 * angles) * inside
-        out += wf[blk] @ (cosses @ power[blk, :, None])[..., 0]
+    for blk in _node_blocks(len(nodes), max(len(x), coeffs.shape[1])):
+        out += wf[blk] @ _chebyshev_density(nodes[blk], coeffs[blk], x)
     return out
 
 
@@ -305,11 +352,10 @@ def p_inf(model: RandomBoxModel, x, method: str = "spectral") -> np.ndarray:
         k = np.arange(1, len(b) + 1)
         ng = max(512, 16 * len(b))
         yg = -l + 2.0 * l / ng * (np.arange(ng) + 0.5)
-        psig = _masked_sine_basis(np.array([l]), k, yg)[0] @ b
+        psig = _masked_sine_basis(l, k, yg) @ b
 
         def psi_call(y, l=l, b=b, k=k):
-            return _masked_sine_basis(np.array([l]), k,
-                                      np.atleast_1d(y))[0] @ b
+            return _masked_sine_basis(l, k, np.atleast_1d(y)) @ b
 
         inside = np.abs(x) <= l
         for i in np.nonzero(inside)[0]:
@@ -340,6 +386,14 @@ def time_average_density(model: RandomBoxModel, x, t_start: float | None
     ``p_xt``).  The averaged kernel is smooth on the mode diagonal and
     strongly damped off it, so a fixed ``order`` replaces the
     single-time node-spacing rule.
+
+    Each node's density is a Chebyshev series in u = cos theta (see
+    ``p_xt``): the damped kernel Re(c_k conj(c_k')) D(w_k - w_k'), with
+    D the Dirichlet factor, is summed one diagonal k' = k + m at a time,
+    m < K.  A diagonal adds to degree m (half of it for m = 0, the two
+    mirrored diagonals for m > 0) and is subtracted at degrees 2k + m,
+    so no K x K array is formed.  Node blocks are sized by
+    max(points, 2K + 1) entries per node.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     par = model.template
@@ -353,23 +407,29 @@ def time_average_density(model: RandomBoxModel, x, t_start: float | None
     t_mid = t_start + 0.5 * (n_samples - 1) * dt
     nodes, weights, _ = _gl_nodes(model, 0.0, order)
     k, table = model.coefficient_table(nodes)
-    wf = weights * model.f_density(nodes)
+    n_k = len(k)
+    wf = weights * model.f_density(nodes) / nodes
     out = np.zeros_like(x)
-    for blk in _node_blocks(len(nodes), max(len(x), len(k)) * len(k)):
+    for blk in _node_blocks(len(nodes), max(len(x), 2 * n_k + 1)):
         l = nodes[blk]
         omega = par.hbar * (math.pi * k / (2.0 * l[:, None])) ** 2 \
             / (2.0 * par.mass)
-        dw = omega[:, :, None] - omega[:, None, :]
-        half = 0.5 * dt * dw
-        den = n_samples * np.sin(half)
-        dirichlet = np.divide(np.sin(n_samples * half), den,
-                              out=np.ones_like(den), where=den != 0.0)
         # exp(-i dw t_mid) factors into per-mode phases.  The averaged
         # kernel is Hermitian and the basis real, so only its real part
         # reaches the density.
         c = table[blk] * np.exp(-1j * omega * t_mid)
-        kernel = (c.real[:, :, None] * c.real[:, None, :]
-                  + c.imag[:, :, None] * c.imag[:, None, :]) * dirichlet
-        basis = _masked_sine_basis(l, k, x)
-        out += wf[blk] @ np.sum((basis @ kernel) * basis, axis=-1)
+        coeffs = np.zeros((len(l), 2 * n_k + 1))
+        for m in range(n_k):
+            lo, hi = slice(0, n_k - m), slice(m, n_k)
+            half = 0.5 * dt * (omega[:, lo] - omega[:, hi])
+            den = n_samples * np.sin(half)
+            diag = np.divide(np.sin(n_samples * half), den,
+                             out=np.ones_like(den), where=den != 0.0)
+            diag *= c.real[:, lo] * c.real[:, hi] \
+                + c.imag[:, lo] * c.imag[:, hi]
+            if m == 0:
+                diag *= 0.5
+            coeffs[:, m] += np.sum(diag, axis=1)
+            coeffs[:, 2 + m:2 * n_k - m + 1:2] -= diag
+        out += wf[blk] @ _chebyshev_density(l, coeffs, x)
     return out

@@ -195,6 +195,31 @@ def test_box_sweep_pairs_both_momentum_windows(tmp_path, monkeypatch):
     assert float(rows[0].split(",")[4]) < 0.15
 
 
+@pytest.mark.parametrize("domain", ["circle", "box"])
+def test_transition_sweep_converges(tmp_path, domain):
+    # transition_grid is |((q, p), U_t(q', p'))|^2, which peaks at
+    # q' = q - p t / m; a profile drifted forward gave residuals 1.05,
+    # 1.06, 0.32, 0.68 on the circle.
+    if domain == "circle":
+        config = {"domain": "circle", "q": 1.3, "regime_c": "0",
+                  "regime_d": "1", "grid": 512, "p_grid": 64}
+    else:
+        hbar = 0.002
+        alpha = 0.3 * math.sqrt(hbar)
+        config = {"domain": "box", "hbar": hbar, "alpha": alpha, "q": 0.5,
+                  "p": 1.0, "regime_c": "0",
+                  "regime_d": repr(2.0 * hbar / alpha), "grid": 128,
+                  "p_grid": 32, "family_j": 2, "family_p_width": 0.2}
+    config.update(scenario="transition", levels=4)
+    code, out = run_cli(tmp_path, "sweep", config)
+    assert code == 0
+    rows = [line.split(",")
+            for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    residuals = [float(r[4]) for r in rows]
+    assert all(b < a for a, b in zip(residuals, residuals[1:]))
+    assert all(r[5] == "true" for r in rows)
+
+
 def test_box_sweep_rejects_overlapping_windows():
     with pytest.raises(ConfigError, match="family_p_width"):
         parse_config({"command": "sweep", "domain": "box", "p": 0.5,

@@ -1,7 +1,11 @@
-"""Every imported name in the package and the tests is used, and every
-private module-level name in the package is referenced."""
+"""Every imported name in the package and the tests is used, every
+private module-level name in the package is referenced, and importing
+the package loads no heavy optional module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +83,17 @@ def test_scan_flags_orphaned_private_names():
 
 def test_no_orphaned_private_names():
     assert _orphans({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_import_loads_no_heavy_modules():
+    # Each of these adds start-up time and resident memory to every run.
+    code = ("import sys, qrevival; print(' '.join(sorted(m for m in "
+            "sys.modules if m.split('.')[0] in ('scipy', 'mpmath') or "
+            "m.startswith('numpy.polynomial'))))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if "PYTHONPATH" in env
+                               else []))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert loaded.stdout.split() == []

@@ -1,17 +1,21 @@
 """Random-half-size box: limit identity, cross-checked paths, averages."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrevival import randombox
 from qrevival.box import box_coefficients, box_norm_sq
 from qrevival.params import DomainError, PhasePoint, PhysicalParams
-from qrevival.randombox import (RandomBoxModel, _gl_nodes, _legendre_gauss,
-                                delta_correction, odd_periodic_extend, p_inf,
-                                p_xt, time_average_density, uniform_part)
+from qrevival.randombox import (RandomBoxModel, _chebyshev_density,
+                                _gl_nodes, _legendre_gauss, delta_correction,
+                                odd_periodic_extend, p_inf, p_xt,
+                                time_average_density, uniform_part)
 
 PAR = PhysicalParams(0.05, 1.0, 0.2, 1.0)
 
@@ -228,3 +232,147 @@ def test_node_blocking_agrees(cap, monkeypatch):
     for a, b in zip(run(), whole):
         assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
     assert all(len(b) > 1 for b in blocks)
+
+
+# Sine-basis forms of the densities, one size node at a time: psi_l is
+# sum_k c_k sin(pi k (x - l) / 2l) / sqrt(l) inside the box, 0 outside.
+# Phases are rounded as in randombox: at K = 417 and t = 5 they reach
+# 5e4 rad, where another rounding order moves densities by 1e-13.
+
+def _sine_basis(l, k, x):
+    inside = np.abs(x)[:, None] <= l
+    return np.where(inside, np.sin(math.pi * k * (x[:, None] - l) / (2 * l)),
+                    0.0) / math.sqrt(l)
+
+
+def _sine_p_xt(model, x, t, order):
+    nodes, weights, _ = (_gl_nodes(model, t) if order is None
+                         else _gl_nodes(model, 0.0, order))
+    k, table = model.coefficient_table(nodes)
+    par = model.template
+    out = np.zeros_like(x)
+    for l, w, b in zip(nodes, weights * model.f_density(nodes), table):
+        phases = np.exp(-1j * par.hbar * t * (math.pi * k / (2.0 * l)) ** 2
+                        / (2.0 * par.mass))
+        out += w * np.abs(_sine_basis(l, k, x) @ (b * phases)) ** 2
+    return out
+
+
+def _sine_delta(model, x):
+    nodes, weights, _ = _gl_nodes(model, 0.0)
+    k, table = model.coefficient_table(nodes)
+    out = np.zeros_like(x)
+    for l, w, b in zip(nodes, weights * model.f_density(nodes) / (2 * nodes),
+                       table):
+        cosses = np.cos(math.pi * k * (x[:, None] - l) / l)
+        out += w * (np.abs(x) <= l) * (cosses @ np.abs(b) ** 2)
+    return out
+
+
+def _sine_time_average(model, x, order, t_start, window, n_samples):
+    nodes, weights, _ = _gl_nodes(model, 0.0, order)
+    k, table = model.coefficient_table(nodes)
+    dt = window / n_samples
+    t_mid = t_start + 0.5 * (n_samples - 1) * dt
+    out = np.zeros_like(x)
+    for l, w, b in zip(nodes, weights * model.f_density(nodes), table):
+        omega = model.template.hbar * (math.pi * k / (2.0 * l)) ** 2 \
+            / (2.0 * model.template.mass)
+        half = 0.5 * dt * (omega[:, None] - omega[None, :])
+        den = n_samples * np.sin(half)
+        dirichlet = np.divide(np.sin(n_samples * half), den,
+                              out=np.ones_like(den), where=den != 0.0)
+        c = b * np.exp(-1j * omega * t_mid)
+        kernel = np.real(np.outer(c, np.conj(c))) * dirichlet
+        basis = _sine_basis(l, k, x)
+        out += w * np.einsum("pk,kj,pj->p", basis, kernel, basis)
+    return out
+
+
+def _assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _wall_points(model, orders):
+    # A grid past both ends of the support, plus +-l exactly and 1e-4
+    # inside the walls at the first, middle and last node of each order.
+    lo, hi = model.support
+    x = [np.linspace(-hi - 0.05, hi + 0.05, 41)]
+    for order in orders:
+        nodes = _gl_nodes(model, 0.0, order)[0][[0, order // 2, -1]]
+        x.append(np.outer([1.0, -1.0], [nodes, nodes - 1e-4]))
+    return np.concatenate([a.ravel() for a in x])
+
+
+CHEBYSHEV_MODELS = {
+    "coherent K=34": (RandomBoxModel(PAR, 1.0, 0.02, q_rel=0.3, p=1.0),
+                      (None, 1, 129)),
+    "coherent K=417": (RandomBoxModel(PhysicalParams(0.05, 1.0, 0.01, 1.0),
+                                      1.0, 0.02, q_rel=0.3, p=1.0), (1, 9)),
+    "eigenstate 1": (RandomBoxModel(PAR, 1.0, 0.02, kind="eigenstate",
+                                    eigen_index=1), (None, 1, 129)),
+    "eigenstate 4": (RandomBoxModel(PAR, 1.0, 0.02, kind="eigenstate",
+                                    eigen_index=4), (None, 1, 129)),
+}
+
+
+@pytest.mark.parametrize("name", CHEBYSHEV_MODELS)
+def test_chebyshev_engine_matches_sine_basis(name):
+    model, orders = CHEBYSHEV_MODELS[name]
+    x = _wall_points(model, [o for o in orders if o] + [129])
+    for order in orders:
+        for t in (0.0, 5.0):
+            _assert_close(p_xt(model, x, t, order=order),
+                          _sine_p_xt(model, x, t, order))
+        if order is not None:
+            _assert_close(
+                time_average_density(model, x, 3.0, 2000.0, 4096, order),
+                _sine_time_average(model, x, order, 3.0, 2000.0, 4096))
+    _assert_close(delta_correction(model, x), _sine_delta(model, x))
+
+
+def test_chebyshev_time_average_default_order():
+    model = _coherent_model()
+    x = _wall_points(model, [2049])
+    l0 = model.l_center
+    t_rev = 16.0 * PAR.mass * l0 * l0 / (math.pi * PAR.hbar)
+    _assert_close(time_average_density(model, x),
+                  _sine_time_average(model, x, 2049, 10.0 * t_rev,
+                                     40.0 * t_rev, 4096))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       l=st.floats(0.2, 5.0))
+def test_chebyshev_density_is_sine_quadratic_form(n_k, seed, l):
+    # sin k theta sin k' theta = [T_|k-k'|(u) - T_(k+k')(u)] / 2.
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n_k, n_k))
+    m += m.T
+    k = np.arange(1, n_k + 1)
+    coeffs = np.zeros(2 * n_k + 1)
+    for i in range(n_k):
+        for j in range(n_k):
+            coeffs[abs(i - j)] += 0.5 * m[i, j]
+            coeffs[i + j + 2] -= 0.5 * m[i, j]
+    x = np.concatenate([rng.uniform(-1.2 * l, 1.2 * l, 50), [-l, l]])
+    basis = _sine_basis(l, k, x) * math.sqrt(l)
+    want = np.einsum("pk,kj,pj->p", basis, m, basis)
+    got = _chebyshev_density(np.array([l]), coeffs[None, :], x)[0]
+    assert np.max(np.abs(got - want)) <= 1e-14 * n_k * np.sum(np.abs(m))
+
+
+def test_time_average_memory_bounded():
+    # K = 1021 modes: the K x K kernels of a sine-basis average would
+    # take tens of MB per node.
+    model = RandomBoxModel(PhysicalParams(0.05, 1.0, 0.004, 1.0), 1.0, 0.02,
+                           q_rel=0.3, p=1.0)
+    x = np.linspace(-1.08, 1.08, 101)
+    assert len(model.coefficients_for(1.0)) == 1021
+    tracemalloc.start()
+    try:
+        time_average_density(model, x, order=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
