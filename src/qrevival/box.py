@@ -4,7 +4,7 @@ A box [-l, l] with hard walls unfolds onto a circle of circumference 4l:
 classically through the two-sheeted covering map, quantum mechanically
 through the odd-symmetrization map Theta.  Box coherent states are
 antisymmetrized periodized packets; their overlaps and norms reduce to
-circle kernels on the doubled domain.
+circle kernels on the doubled domain (``domain_overlap``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import WaveState, _mode_window, comb_coefficients
+from .circle import WaveState, _cover, _mode_window, comb_coefficients
 from .params import ContractViolation, DegenerateStateError, DomainError, \
     PhasePoint, PhysicalParams
 from .theta import periodized_overlap
@@ -184,30 +184,35 @@ def theta_inv_map(phi: np.ndarray, half_length: float) -> np.ndarray:
     return out
 
 
-def odd_overlap(params: PhysicalParams, q, p, qb, pb, t: float):
-    """Box overlaps ((q, p), (qb, pb) evolved for t); labels broadcast.
-
-    The odd projection of the doubled-circle overlap: against the first
-    label at (q - l, p), the second contributes its direct image at
-    (qb - l, pb) minus its wall mirror at (l - qb, -pb).
+def domain_overlap(params: PhysicalParams, domain: str, q, p, qb, pb,
+                   t: float):
+    """Overlaps ((q, p), (qb, pb) evolved for t) on the circle or in the
+    box, labels broadcast: image sums (``periodized_overlap``) on the
+    covering circle (``circle._cover``).  In the box, the odd projection:
+    against the first label at (q - l, p), the second contributes its
+    direct image at (qb - l, pb) minus its wall mirror at (l - qb, -pb).
     """
     l = params.half_length
-    return (periodized_overlap(params, q - l, p, qb - l, pb, t, 4.0 * l)
-            - periodized_overlap(params, q - l, p, l - qb, -pb, t, 4.0 * l))
+    period = 2.0 * _cover(domain, l)
+    if domain == "circle":
+        return periodized_overlap(params, q, p, qb, pb, t, period)
+    return (periodized_overlap(params, q - l, p, qb - l, pb, t, period)
+            - periodized_overlap(params, q - l, p, l - qb, -pb, t, period))
 
 
 def box_overlap(params: PhysicalParams, a: PhasePoint, b: PhasePoint,
                 t: float) -> complex:
-    """Scalar product (box state a, evolved box state b); see odd_overlap."""
-    return complex(odd_overlap(params, a.q, a.p, b.q, b.p, t))
+    """Scalar product (box state a, evolved box state b); see
+    ``domain_overlap``."""
+    return complex(domain_overlap(params, "box", a.q, a.p, b.q, b.p, t))
 
 
 def box_norm_sq(params: PhysicalParams, phase: PhasePoint) -> float:
     """Squared norm of the box coherent state.
 
-    The state's overlap with itself (``odd_overlap`` at t = 0): the
+    The state's overlap with itself (``domain_overlap`` at t = 0): the
     periodized-packet norm on the doubled circle minus the real cross
     term with its wall reflection; exactly 0 at (+-l, 0).
     """
-    return float(odd_overlap(params, phase.q, phase.p, phase.q, phase.p,
-                             0.0).real)
+    return float(domain_overlap(params, "box", phase.q, phase.p, phase.q,
+                                phase.p, 0.0).real)

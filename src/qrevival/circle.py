@@ -40,7 +40,7 @@ class WaveState:
     coefficients : ndarray of complex
         Coefficients over e_k = exp(i pi k x / l)/sqrt(2l) (circle) or
         f_k = sin(pi k (x - l) / 2l)/sqrt(l) (box).  Modes outside the
-        stored window are exactly zero.
+        stored window are exactly zero.  Box sines are ``_signed_modes``.
     time : float
         Evolution time already applied to the coefficients.
     source : PhasePoint or None
@@ -56,8 +56,7 @@ class WaveState:
     source: PhasePoint | None = None
 
     def __post_init__(self) -> None:
-        if self.domain not in ("circle", "box"):
-            raise ContractViolation(f"unknown domain {self.domain!r}")
+        _cover(self.domain, self.params.half_length)
         c = np.asarray(self.coefficients, dtype=complex)
         if not np.all(np.isfinite(c.view(float))):
             raise ContractViolation("non-finite spectral coefficients")
@@ -114,6 +113,19 @@ class LimitProfile:
     domain: str
     half_length: float
 
+    def __post_init__(self) -> None:
+        _cover(self.domain, self.half_length)
+
+
+def _cover(domain: str, half_length: float) -> float:
+    """Half-length L of the domain's covering circle: l for the circle,
+    2l for the box, whose states Theta makes odd in y = x - l there."""
+    if domain == "circle":
+        return half_length
+    if domain == "box":
+        return 2.0 * half_length
+    raise ContractViolation(f"unknown domain {domain!r}")
+
 
 def _mode_window(params: PhysicalParams, p: float, half_length: float):
     """Modes k whose comb weight exp(-alpha^2 (pi k / l - p / hbar)^2)
@@ -150,14 +162,13 @@ def comb_coefficients(params: PhysicalParams, k, q, p, half_length):
     return envelope * np.exp(-1j * (math.pi * k * q / l))
 
 
-def circle_coefficients(params: PhysicalParams, phase: PhasePoint,
-                        half_length: float | None = None):
+def circle_coefficients(params: PhysicalParams, phase: PhasePoint):
     """Fourier coefficients of the periodized packet on its mode window.
 
     Returns (k_min, coefficient array) with the ``comb_coefficients``
     c_k for k_min <= k <= k_max.
     """
-    l = params.half_length if half_length is None else half_length
+    l = params.half_length
     k_min, k_max = _mode_window(params, phase.p, l)
     k = np.arange(k_min, k_max + 1)
     return k_min, comb_coefficients(params, k, phase.q, phase.p, l)
@@ -200,10 +211,8 @@ def _evolution_phases(params: PhysicalParams, k, t: float, half_length):
 def evolve(state: WaveState, t: float) -> WaveState:
     """Advance a state by time t (free motion; exact spectral phases)."""
     par = state.params
-    # Box sines are modes of the doubled circle, of half-length 2l.
-    l = par.half_length if state.domain == "circle" \
-        else 2.0 * par.half_length
-    phases = _evolution_phases(par, state.k_values, t, l)
+    phases = _evolution_phases(par, state.k_values, t,
+                               _cover(state.domain, par.half_length))
     return replace(state, coefficients=state.coefficients * phases,
                    time=state.time + t)
 
@@ -263,35 +272,30 @@ def _fold(k: np.ndarray, a: np.ndarray, m, n_bins: int) -> np.ndarray:
         phase = np.exp((1j * math.pi / n_bins) * r)
     else:
         phase = np.exp((1j * math.pi * (m - n_bins) / n_bins) * k)
-    terms = phase[:, None] * a.reshape(len(k), -1)
-    cols = terms.shape[1]
+    terms = np.multiply(phase[:, None], a.reshape(len(k), -1), order="C")
+    # Real and imaginary parts are adjacent float columns: one bincount.
+    cols = 2 * terms.shape[1]
     bins = ((k % n_bins)[:, None] * cols + np.arange(cols)).ravel()
-    out = (np.bincount(bins, terms.real.ravel(), n_bins * cols)
-           + 1j * np.bincount(bins, terms.imag.ravel(), n_bins * cols))
-    return out.reshape((n_bins,) + a.shape[1:])
+    out = np.bincount(bins, terms.view(float).ravel(), n_bins * cols)
+    return out.view(complex).reshape((n_bins,) + a.shape[1:])
 
 
-def _grid_sum(k: np.ndarray, a: np.ndarray, m, n: int,
-              minus: np.ndarray | None = None) -> np.ndarray:
-    """Mode sums on the grid x_j = -l + (m/2 + j) 2l/n, j < n, by one
-    ``_fold`` per mode sign and one inverse FFT along the first axis.
-
-    Without ``minus``: sum_k a_k exp(i pi k x_j / l), on n bins.
-    With ``minus``: sum_k (a_k e^{i u} - minus_k e^{-i u}),
-    u = pi k (x_j - l) / 2l, the modes +-k of the doubled circle, which
-    the grid covers with 2n points; the first n are kept.  Trailing axes
-    of the coefficients are summed column by column.
+def _grid_sum(k: np.ndarray, a: np.ndarray, m, n: int) -> np.ndarray:
+    """Mode sums sum_k a_k exp(i pi k y_j / L) on the grid
+    y_j = -L + (m/2 + j) 2L/n of a circle of half-length L, by one
+    ``_fold`` onto n bins and one inverse FFT along the first axis.
+    Modes of either sign; trailing axes of the coefficients are summed
+    column by column.  A domain grid covers n L / l of these points
+    (``_cover``), and its callers keep the first n.
     """
-    if minus is None:
-        bins = _fold(k, a, m, n)
-    else:
-        bins = _fold(k, a, m, 2 * n) - _fold(-k, minus, m, 2 * n)
-    return np.fft.ifft(bins, axis=0, norm="forward")[:n]
+    return np.fft.ifft(_fold(k, a, m, n), axis=0, norm="forward")
 
 
 def _eval_basis(state: WaveState, x: np.ndarray) -> np.ndarray:
     """Synthesis against the explicit basis, built in row blocks of at
-    most ``theta.BLOCK_CAP`` (points x modes) entries."""
+    most ``theta.BLOCK_CAP`` (points x modes) entries.  The box keeps
+    its sines: as exponentials of +-k they took 4.6x as long (183 ms
+    against 39.5 ms, K = 5164 on 300 random points)."""
     k = state.k_values
     l = state.params.half_length
     rows = max(1, _kernels.BLOCK_CAP // len(k))
@@ -308,15 +312,24 @@ def _eval_basis(state: WaveState, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _signed_modes(k: np.ndarray, b: np.ndarray):
+    """Box sines b_k sin(pi k y / 2l) / sqrt(l), y = x - l, as the pairs
+    -i b_k e_{+k} + i b_k e_{-k} of the doubled circle's modes
+    e_k(y) = exp(i pi k y / 2l) / sqrt(4l): (modes, coefficients)."""
+    return np.concatenate([k, -k]), np.concatenate([-1j * b, 1j * b])
+
+
 def _eval_grid(state: WaveState, m, n: int) -> np.ndarray:
-    """Synthesis on the uniform grid x_j = -l + (m/2 + j) 2l/n by one
-    inverse FFT over the folded modes."""
+    """Synthesis on the uniform grid x_j = -l + (m/2 + j) 2l/n: the first
+    n points of the covering circle's grid of n L / l, at y = x - (L - l),
+    by one ``_grid_sum`` over its modes (the box's ``_signed_modes``)."""
     k, c = state.k_values, state.coefficients
     l = state.params.half_length
-    if state.domain == "circle":
-        return _grid_sum(k, c, m, n) / math.sqrt(2.0 * l)
-    # sin(u) = (e^{iu} - e^{-iu}) / 2i.
-    return _grid_sum(k, c, m, n, minus=c) / (2j * math.sqrt(l))
+    cover = _cover(state.domain, l)
+    if state.domain == "box":
+        k, c = _signed_modes(k, c)
+    return _grid_sum(k, c, m, n * round(cover / l))[:n] \
+        / math.sqrt(2.0 * cover)
 
 
 def eval_state(state: WaveState, x, method: str = "spectral"):
@@ -334,7 +347,7 @@ def eval_state(state: WaveState, x, method: str = "spectral"):
     * x uniform with spacing 2l/len(x) (midpoint grids, and grids from
       ``linspace(-l, l, n, endpoint=False)``): the modes are folded onto
       the grid, exactly, modulo n (circle) or 2n (box, whose sines are
-      pairs of modes +-k on the doubled circle), and summed by one
+      the modes +-k of the doubled circle), and summed by one
       inverse FFT, in O(K + n log n) time and O(K + n) memory for K
       modes.  When x_0 sits on a half cell, each mode's phase is reduced
       exactly in integers, so the error stays at a few ulps of max|psi|
@@ -359,44 +372,37 @@ def eval_state(state: WaveState, x, method: str = "spectral"):
         if state.source is None:
             raise MethodUnavailable(
                 "image_sum requires a packet-generated state")
-        qp = state.source
-        if state.domain == "circle":
-            out = _eval_circle_images(par, qp, x, state.time, l)
-        else:
-            # Difference of two periodized packets on the doubled circle.
-            shifted = PhasePoint(qp.q - l, qp.p)
-            mirror = PhasePoint(l - qp.q, -qp.p)
-            out = (_eval_circle_images(par, shifted, x - l, state.time, 2.0 * l)
-                   - _eval_circle_images(par, mirror, x - l, state.time,
-                                         2.0 * l))
+        qp, cover = state.source, _cover(state.domain, l)
+        y, shifted = x - (cover - l), PhasePoint(qp.q - (cover - l), qp.p)
+        out = _eval_circle_images(par, shifted, y, state.time, cover)
+        if state.domain == "box":
+            # The odd part: less the packet's wall mirror.
+            out = out - _eval_circle_images(par, PhasePoint(l - qp.q, -qp.p),
+                                            y, state.time, cover)
     else:
         raise ContractViolation(f"unknown method {method!r}")
     return out[0] if out.shape == (1,) else out
 
 
 def circle_overlap(params: PhysicalParams, a: PhasePoint, b: PhasePoint,
-                   t: float, half_length: float | None = None) -> complex:
+                   t: float) -> complex:
     """Scalar product (state_a, evolved state_b) on the circle.
 
     Computed as the image sum of free-line overlaps over shifts of the
     second label by multiples of 2l (``periodized_overlap``).
     """
-    l = params.half_length if half_length is None else half_length
-    return complex(periodized_overlap(params, a.q, a.p, b.q, b.p, t, 2.0 * l))
+    return complex(periodized_overlap(params, a.q, a.p, b.q, b.p, t,
+                                      2.0 * params.half_length))
 
 
 def time_scales(params: PhysicalParams, p: float, domain: str) -> TimeScales:
-    """Traversal, collapse, and revival times for momentum p."""
+    """Traversal, collapse, and revival times for momentum p; t_cl and
+    t_rev are those of the covering circle (``_cover``)."""
     m, l, hbar = params.mass, params.half_length, params.hbar
+    cover = _cover(domain, l)
     t_coll = 2.0 * m * l * params.alpha / (math.sqrt(3.0) * hbar)
-    if domain == "circle":
-        t_cl = 2.0 * l * m / abs(p) if p != 0.0 else math.inf
-        t_rev = 4.0 * m * l * l / (math.pi * hbar)
-    elif domain == "box":
-        t_cl = 4.0 * l * m / abs(p) if p != 0.0 else math.inf
-        t_rev = 16.0 * m * l * l / (math.pi * hbar)
-    else:
-        raise ContractViolation(f"unknown domain {domain!r}")
+    t_cl = 2.0 * cover * m / abs(p) if p != 0.0 else math.inf
+    t_rev = 4.0 * m * cover * cover / (math.pi * hbar)
     return TimeScales(t_cl, t_coll, t_rev)
 
 
@@ -421,28 +427,21 @@ def limit_profile(structure: RevivalStructure, phase: PhasePoint, D: float,
                   ) -> LimitProfile:
     """Predicted limit density near t = c * t_rev + t_offset.
 
-    Centers sit at q + (spacing)k + a - (p/m) t_offset, k < n_prime,
-    with spacing 2l/N' on the circle and 4l/N' in the box (where the
-    centers live on the doubled, unfolded circle, so each one lands in
-    the box on one of its two sheets).  D = math.inf encodes the uniform
-    profile.
+    Centers sit at q + (2L/N')k + a L/l - (p/m) t_offset, k < n_prime,
+    on the covering circle of half-length L (``_cover``): the circle
+    itself, or the doubled, unfolded circle of the box, where each
+    center lands in the box on one of its two sheets.  D = math.inf
+    encodes the uniform profile.
     """
     if D < 0.0:
         raise DomainError("spread D must be in [0, inf]")
     l = params.half_length
+    cover = _cover(domain, l)
     n_prime = structure.n_prime
     drift = -phase.p * t_offset / params.mass
-    if domain == "circle":
-        spacing, wrap_l, offset = 2.0 * l / n_prime, l, structure.a
-    elif domain == "box":
-        # Centers live on the doubled circle of half-length 2l, so both
-        # the spacing and the N = 2 (mod 4) offset double.
-        spacing, wrap_l, offset = 4.0 * l / n_prime, 2.0 * l, \
-            2.0 * structure.a
-    else:
-        raise ContractViolation(f"unknown domain {domain!r}")
+    spacing, offset = 2.0 * cover / n_prime, structure.a * (cover / l)
     centers = tuple(
-        wrap_position(phase.q + spacing * k + offset + drift, wrap_l)
+        wrap_position(phase.q + spacing * k + offset + drift, cover)
         for k in range(n_prime))
     return LimitProfile(centers, D, phase.p, 1.0 / n_prime, domain, l)
 
@@ -468,10 +467,9 @@ def profile_position_density(profile: LimitProfile, x) -> np.ndarray:
         raise MethodUnavailable("delta-peak profile has no grid density")
     if math.isinf(D):
         return np.full_like(x, 1.0 / (2.0 * l))
-    if profile.domain == "circle":
-        period, sheets = 2.0 * l, x[..., None]
-    else:
-        period, sheets = 4.0 * l, np.stack([x, 2.0 * l - x], axis=-1)
+    period = 2.0 * _cover(profile.domain, l)
+    sheets = x[..., None] if profile.domain == "circle" \
+        else np.stack([x, 2.0 * l - x], axis=-1)
     z = (sheets[..., None] - np.array(profile.centers)) / period
     dens = theta(z, 2.0 * math.pi * (D / period) ** 2).real
     return profile.weight / period * dens.sum(axis=(-2, -1))
@@ -479,12 +477,8 @@ def profile_position_density(profile: LimitProfile, x) -> np.ndarray:
 
 def transition_density(params: PhysicalParams, a: PhasePoint, b: PhasePoint,
                        t: float, domain: str) -> float:
-    """Phase-space transition density (1/2 pi hbar)|overlap|^2."""
-    if domain == "circle":
-        ov = circle_overlap(params, a, b, t)
-    elif domain == "box":
-        from .box import box_overlap
-        ov = box_overlap(params, a, b, t)
-    else:
-        raise ContractViolation(f"unknown domain {domain!r}")
+    """Phase-space transition density (1/2 pi hbar)|overlap|^2, the
+    overlap by ``box.domain_overlap``."""
+    from .box import domain_overlap
+    ov = domain_overlap(params, domain, a.q, a.p, b.q, b.p, t)
     return abs(ov) ** 2 / (2.0 * math.pi * params.hbar)

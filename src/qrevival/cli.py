@@ -182,6 +182,8 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"format: must be 'csv' or 'json'")
     if cfg.grid < 8:
         raise ConfigError("grid: must be at least 8")
+    if cfg.p_grid < 1:
+        raise ConfigError("p_grid: must be at least 1")
     if cfg.command == "evolve" and not cfg.times:
         raise ConfigError("times: at least one evolution time is required")
     if cfg.command == "revival-map":

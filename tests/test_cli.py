@@ -38,7 +38,7 @@ def test_unknown_keys_rejected():
                       "random_box": {"l_centre": 1.0}})
 
 
-def test_validation_messages_name_fields():
+def test_validation_messages_name_fields(tmp_path, capsys):
     with pytest.raises(ConfigError, match="hbar"):
         parse_config({"command": "evolve", "times": [0.0], "hbar": -1.0})
     with pytest.raises(ConfigError, match="times"):
@@ -49,6 +49,12 @@ def test_validation_messages_name_fields():
         parse_config({"command": "sweep", "levels": 3})
     with pytest.raises(ConfigError, match="family_j"):
         parse_config({"command": "sweep", "family_j": -1})
+    # Through the entry point: a config error, not a crash (exit 1 is
+    # "verify failed") and not a run on an empty momentum grid.
+    for command, p_grid in (("sweep", 0), ("husimi", 0), ("husimi", -3)):
+        code, _ = run_cli(tmp_path, command, {"p_grid": p_grid})
+        assert code == 2
+        assert "p_grid:" in capsys.readouterr().err
 
 
 def test_evolve_revival_round(tmp_path):

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from test_circle import _peak_bytes
 from test_periodized_overlap import oracle_overlap
 
-from qrevival.circle import (limit_profile, profile_position_density,
-                             revival_structure, transition_density)
-from qrevival.husimi import (DensityOperatorMixture, TestFamily,
-                             classical_transport, density_mass,
+from qrevival.box import domain_overlap
+from qrevival.circle import (LimitProfile, WaveState, limit_profile,
+                             profile_position_density, revival_structure,
+                             time_scales, transition_density)
+from qrevival.husimi import (ClassicalDensity, DensityOperatorMixture,
+                             TestFamily, classical_transport, density_mass,
                              gaussian_mixture_density, grid_density,
                              husimi, husimi_grid, kozlov_limit,
                              make_schedule, pair_classical, pair_profile,
@@ -29,6 +31,45 @@ husimi_module = importlib.import_module("qrevival.husimi")
 theta_module = importlib.import_module("qrevival.theta")
 TRANSITION_CASES = settings(max_examples=25, deadline=None,
                             derandomize=True, database=None)
+
+
+def _flat(q, p):
+    return np.ones(np.broadcast(q, p).shape)
+
+
+_PAR = PhysicalParams(0.1, 1.0, 0.3, L)
+_A, _B = PhasePoint(0.2, 1.0), PhasePoint(-0.5, 1.2)
+TAKES_DOMAIN = {
+    "WaveState": lambda d: WaveState(d, _PAR, 0, np.ones(3)),
+    "time_scales": lambda d: time_scales(_PAR, 1.0, d),
+    "limit_profile": lambda d: limit_profile(
+        revival_structure(1, 2, L), _A, 0.3, 0.0, d, _PAR),
+    "LimitProfile": lambda d: LimitProfile((0.0,), 0.3, 1.0, 1.0, d, L),
+    "transition_density": lambda d: transition_density(_PAR, _A, _B, 1.0, d),
+    "domain_overlap": lambda d: domain_overlap(_PAR, d, 0.2, 1.0, -0.5, 1.2,
+                                               1.0),
+    "DensityOperatorMixture": lambda d: DensityOperatorMixture(
+        _PAR, d, ((1.0, _A),)),
+    "ClassicalDensity": lambda d: ClassicalDensity(d, L, 1.0, _flat,
+                                                   (0.0, 2.0)),
+    "gaussian_mixture_density": lambda d: gaussian_mixture_density(
+        d, L, 1.0, [(1.0, 0.5, 2.0, 0.4, 0.15)]),
+    "grid_density": lambda d: grid_density(
+        d, L, 1.0, np.linspace(-L, L, 4), np.linspace(0.0, 2.0, 3),
+        np.ones((4, 3))),
+    "TestFamily": lambda d: TestFamily(d, L, (1.0,), 0.2),
+    "transition_grid": lambda d: transition_grid(
+        _PAR, _A, 1.0, d, 16, np.array([0.9, 1.1])),
+    "make_schedule": lambda d: make_schedule(Fraction(1, 2), 0.0, _PAR, 3, d),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_DOMAIN))
+def test_unknown_domain_is_refused(name):
+    # Only the circle and the box have a covering circle; nothing may
+    # fall through to the box's formulas.
+    with pytest.raises(ContractViolation, match="unknown domain"):
+        TAKES_DOMAIN[name]("disk")
 
 
 def test_mixture_weight_validation():

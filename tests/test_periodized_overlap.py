@@ -2,8 +2,9 @@
 and norm.
 
 Closed forms are checked against the quadrature oracle, including the
-large spreading factors of the revival schedules, and the blocked and
-batched evaluation paths are checked against unblocked, pointwise ones.
+large spreading factors of the revival schedules, and against the mode
+sums of the evolved spectral states; the blocked and batched evaluation
+paths are checked against unblocked, pointwise ones.
 """
 
 import importlib
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrevival.box import (box_coefficients, box_norm_sq, box_overlap,
-                          make_box_state)
-from qrevival.circle import circle_norm_sq, circle_overlap, \
+                          domain_overlap, make_box_state)
+from qrevival.circle import circle_norm_sq, circle_overlap, evolve, \
     make_circle_state
 from qrevival.husimi import (DensityOperatorMixture, husimi, husimi_grid,
                              make_schedule)
@@ -177,6 +178,50 @@ def test_norm_equals_coefficient_norm(hbar, alpha_rel, l, q_rel, p, domain):
             return
         closed = box_norm_sq(par, phase)
     assert abs(closed - spectral) <= 1e-12 * spectral
+
+
+def _spectral_overlap(params, domain, a, b, t):
+    """sum_k conj(c_k(a)) c_k(b) e^{-i omega_k t} over the union of the
+    two mode windows, from the states' own coefficients, and the size
+    of the rounding of its largest phase omega_k t,
+    eps max(omega_k t) sum |c_k(a) c_k(b)|."""
+    make = make_circle_state if domain == "circle" else make_box_state
+    sa = make(params, a)
+    sb = evolve(make(params, b), t)
+    k_min = min(sa.k_min, sb.k_min)
+    k = np.arange(k_min, max(sa.k_values[-1], sb.k_values[-1]) + 1)
+    ca, cb = (np.zeros(len(k), dtype=complex) for _ in range(2))
+    ca[sa.k_min - k_min:][:len(sa.coefficients)] = sa.coefficients
+    cb[sb.k_min - k_min:][:len(sb.coefficients)] = sb.coefficients
+    cover = params.half_length * (1.0 if domain == "circle" else 2.0)
+    phase = params.hbar * t * (math.pi * np.max(np.abs(k)) / cover) ** 2 \
+        / (2.0 * params.mass)
+    rounding = np.finfo(float).eps * phase * float(np.sum(np.abs(ca * cb)))
+    return complex(np.vdot(ca, cb)), rounding
+
+
+@CASES
+@given(hbar=st.floats(0.02, 0.3), alpha_rel=st.floats(0.02, 0.24),
+       l=st.floats(0.5, 4.0), gamma=st.floats(0.01, 100.0),
+       q_rel=st.floats(-1.0, 1.0), qb_rel=st.floats(-1.0, 1.0),
+       p=st.floats(-3.0, 3.0), pb=st.floats(-3.0, 3.0),
+       domain=st.sampled_from(["circle", "box"]))
+def test_image_overlap_equals_mode_sum_at_t(hbar, alpha_rel, l, gamma, q_rel,
+                                            qb_rel, p, pb, domain):
+    # The image sum against the spectral sum of the evolved coefficients,
+    # at spreading factors gamma up to 100.  Both round evolution phases
+    # of up to about 1e5 rad here, so the bound adds that rounding; at
+    # such phases the image sum was off by 1.0e-11 against a 40-digit
+    # exact-phase mode sum (box, gamma = 59, phase 6.3e4 rad).
+    par = PhysicalParams(hbar, 1.0, alpha_rel * l, l)
+    t = gamma * 2.0 * par.mass * par.alpha**2 / hbar
+    a, b = PhasePoint(q_rel * l, p), PhasePoint(qb_rel * l, pb)
+    try:
+        spectral, rounding = _spectral_overlap(par, domain, a, b, t)
+    except DegenerateStateError:
+        return
+    image = complex(domain_overlap(par, domain, a.q, a.p, b.q, b.p, t))
+    assert abs(image - spectral) <= 1e-12 * (1.0 + abs(spectral)) + rounding
 
 
 @pytest.mark.parametrize("domain", ["circle", "box"])
