@@ -4,7 +4,7 @@ A box [-l, l] with hard walls unfolds onto a circle of circumference 4l:
 classically through the two-sheeted covering map, quantum mechanically
 through the odd-symmetrization map Theta.  Box coherent states are
 antisymmetrized periodized packets; their overlaps and norms reduce to
-circle kernels on the doubled domain (``domain_overlap``).
+circle kernels on the doubled domain (``circle.domain_overlap``).
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import WaveState, _cover, _mode_window, comb_coefficients
+from .circle import WaveState, _mode_window, comb_coefficients, \
+    domain_overlap
 from .params import ContractViolation, DegenerateStateError, DomainError, \
     PhasePoint, PhysicalParams
-from .theta import periodized_overlap
 
 ROOT_HALF = math.sqrt(2.0) / 2.0
 
@@ -66,12 +66,10 @@ def fold_position(q_prime: float, half_length: float) -> tuple[float, float]:
     return float(q), float(sign)
 
 
-def _check_excluded(params: PhysicalParams, phase: PhasePoint,
-                    eps_q: float | None, eps_p: float | None) -> None:
-    eq = 3.0 * params.alpha if eps_q is None else eps_q
-    ep = 3.0 * params.hbar / params.alpha if eps_p is None else eps_p
+def _check_excluded(params: PhysicalParams, phase: PhasePoint) -> None:
     for corner in (params.half_length, -params.half_length):
-        if abs(phase.q - corner) < eq and abs(phase.p) < ep:
+        if abs(phase.q - corner) < 3.0 * params.alpha \
+                and abs(phase.p) < 3.0 * params.hbar / params.alpha:
             raise DegenerateStateError(
                 f"phase point ({phase.q}, {phase.p}) lies within the "
                 f"exclusion region around ({corner}, 0) where the box "
@@ -117,14 +115,12 @@ def box_coefficients(params: PhysicalParams, phase: PhasePoint):
                                  params.half_length)[1]
 
 
-def make_box_state(params: PhysicalParams, phase: PhasePoint,
-                   eps_q: float | None = None,
-                   eps_p: float | None = None) -> WaveState:
+def make_box_state(params: PhysicalParams, phase: PhasePoint) -> WaveState:
     """Coherent state of the infinite square well labelled by (q, p).
 
     Refuses labels inside the exclusion neighborhoods of (+-l, 0),
-    where the antisymmetrized state collapses to zero (default radii
-    3*alpha in position, 3*hbar/alpha in momentum).
+    where the antisymmetrized state collapses to zero: within 3*alpha
+    of a wall in position and 3*hbar/alpha of 0 in momentum.
     """
     l = params.half_length
     if not params.alpha < l / 4.0:
@@ -132,7 +128,7 @@ def make_box_state(params: PhysicalParams, phase: PhasePoint,
             f"alpha={params.alpha} must be < half_length/4={l / 4.0}")
     if not -l <= phase.q <= l:
         raise DomainError(f"q={phase.q} outside the box [-{l}, {l}]")
-    _check_excluded(params, phase, eps_q, eps_p)
+    _check_excluded(params, phase)
     b = box_coefficients(params, phase)
     return WaveState("box", params, 1, b, 0.0, phase)
 
@@ -182,22 +178,6 @@ def theta_inv_map(phi: np.ndarray, half_length: float) -> np.ndarray:
     i = np.arange(n, 2 * n)
     out[n:] = -ROOT_HALF * phi[(2 * n - i) % n]
     return out
-
-
-def domain_overlap(params: PhysicalParams, domain: str, q, p, qb, pb,
-                   t: float):
-    """Overlaps ((q, p), (qb, pb) evolved for t) on the circle or in the
-    box, labels broadcast: image sums (``periodized_overlap``) on the
-    covering circle (``circle._cover``).  In the box, the odd projection:
-    against the first label at (q - l, p), the second contributes its
-    direct image at (qb - l, pb) minus its wall mirror at (l - qb, -pb).
-    """
-    l = params.half_length
-    period = 2.0 * _cover(domain, l)
-    if domain == "circle":
-        return periodized_overlap(params, q, p, qb, pb, t, period)
-    return (periodized_overlap(params, q - l, p, qb - l, pb, t, period)
-            - periodized_overlap(params, q - l, p, l - qb, -pb, t, period))
 
 
 def box_overlap(params: PhysicalParams, a: PhasePoint, b: PhasePoint,

@@ -127,6 +127,22 @@ def _cover(domain: str, half_length: float) -> float:
     raise ContractViolation(f"unknown domain {domain!r}")
 
 
+def domain_overlap(params: PhysicalParams, domain: str, q, p, qb, pb,
+                   t: float):
+    """Overlaps ((q, p), (qb, pb) evolved for t) on the circle or in the
+    box, labels broadcast: image sums (``periodized_overlap``) on the
+    covering circle (``_cover``).  In the box, the odd projection:
+    against the first label at (q - l, p), the second contributes its
+    direct image at (qb - l, pb) minus its wall mirror at (l - qb, -pb).
+    """
+    l = params.half_length
+    period = 2.0 * _cover(domain, l)
+    if domain == "circle":
+        return periodized_overlap(params, q, p, qb, pb, t, period)
+    return (periodized_overlap(params, q - l, p, qb - l, pb, t, period)
+            - periodized_overlap(params, q - l, p, l - qb, -pb, t, period))
+
+
 def _mode_window(params: PhysicalParams, p: float, half_length: float):
     """Modes k whose comb weight exp(-alpha^2 (pi k / l - p / hbar)^2)
     passes ``image_window``."""
@@ -194,11 +210,10 @@ def circle_norm_sq(params: PhysicalParams, phase: PhasePoint) -> float:
 
     The packet's overlap with itself summed over its images,
     1 + 2 sum_{k>=1} exp(-l^2 k^2 / 2 alpha^2) cos(2 p l k / hbar), taken
-    by ``periodized_overlap`` with period 2l.
+    by ``domain_overlap`` at t = 0.
     """
-    return float(periodized_overlap(params, phase.q, phase.p, phase.q,
-                                    phase.p, 0.0,
-                                    2.0 * params.half_length).real)
+    return float(domain_overlap(params, "circle", phase.q, phase.p,
+                                phase.q, phase.p, 0.0).real)
 
 
 def _evolution_phases(params: PhysicalParams, k, t: float, half_length):
@@ -389,10 +404,9 @@ def circle_overlap(params: PhysicalParams, a: PhasePoint, b: PhasePoint,
     """Scalar product (state_a, evolved state_b) on the circle.
 
     Computed as the image sum of free-line overlaps over shifts of the
-    second label by multiples of 2l (``periodized_overlap``).
+    second label by multiples of 2l (``domain_overlap``).
     """
-    return complex(periodized_overlap(params, a.q, a.p, b.q, b.p, t,
-                                      2.0 * params.half_length))
+    return complex(domain_overlap(params, "circle", a.q, a.p, b.q, b.p, t))
 
 
 def time_scales(params: PhysicalParams, p: float, domain: str) -> TimeScales:
@@ -478,7 +492,6 @@ def profile_position_density(profile: LimitProfile, x) -> np.ndarray:
 def transition_density(params: PhysicalParams, a: PhasePoint, b: PhasePoint,
                        t: float, domain: str) -> float:
     """Phase-space transition density (1/2 pi hbar)|overlap|^2, the
-    overlap by ``box.domain_overlap``."""
-    from .box import domain_overlap
+    overlap by ``domain_overlap``."""
     ov = domain_overlap(params, domain, a.q, a.p, b.q, b.p, t)
     return abs(ov) ** 2 / (2.0 * math.pi * params.hbar)

@@ -113,8 +113,32 @@ _TOP_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 _RB_KEYS = {f.name for f in dataclasses.fields(RandomBoxSpec)}
 
 
+# The types a config value may take, by the type of its field's default:
+# an int passes for a float, a list for a tuple, and seed's None stands
+# for an int or null.  A bool passes only for a bool.
+_VALUE_TYPES = {bool: bool, int: int, float: (int, float), str: str,
+                tuple: (list, tuple), type(None): (int, type(None))}
+
+
+def _type_ok(value, default) -> bool:
+    return isinstance(value, _VALUE_TYPES[type(default)]) \
+        and isinstance(value, bool) == isinstance(default, bool)
+
+
+def _check_types(data: dict, cls, prefix: str = "") -> None:
+    """Reject the first value in ``data`` of a defaulted field of ``cls``
+    that fails ``_type_ok``, naming the field."""
+    for f in dataclasses.fields(cls):
+        if f.name in data and f.default is not dataclasses.MISSING \
+                and not _type_ok(data[f.name], f.default):
+            raise ConfigError(
+                f"{prefix}{f.name}: got {type(data[f.name]).__name__} "
+                f"{data[f.name]!r}, expected the type of {f.default!r}")
+
+
 def parse_config(data: dict, command: str | None = None) -> ScenarioConfig:
-    """Validate a raw config mapping; unknown keys are rejected."""
+    """Validate a raw config mapping; unknown keys and values whose type
+    is not their field's default's (``_type_ok``) are rejected."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     unknown = set(data) - _TOP_KEYS
@@ -126,26 +150,31 @@ def parse_config(data: dict, command: str | None = None) -> ScenarioConfig:
         kw["command"] = command
     if "command" not in kw:
         raise ConfigError("missing field 'command'")
+    if "tolerances" in kw:
+        # A mapping, or emit_config's [name, value] pairs.
+        try:
+            tol = dict(kw["tolerances"])
+        except (TypeError, ValueError):
+            raise ConfigError("tolerances: must map check names to numbers")
+        if not all(_type_ok(v, 0.0) for v in tol.values()):
+            raise ConfigError("tolerances: values must be numbers")
+        kw["tolerances"] = tuple(sorted((str(k), float(v))
+                                        for k, v in tol.items()))
+    _check_types(kw, ScenarioConfig)
+    for name, item in (("times", 0.0), ("fractions", "")):
+        kw[name] = tuple(kw.get(name, ()))
+        if not all(_type_ok(v, item) for v in kw[name]):
+            raise ConfigError(f"{name}: items must be like {item!r}")
     rb = kw.get("random_box", {})
-    if isinstance(rb, RandomBoxSpec):
-        pass
-    elif isinstance(rb, dict):
+    if isinstance(rb, dict):
         bad = set(rb) - _RB_KEYS
         if bad:
             raise ConfigError(
                 f"random_box: unknown keys: {', '.join(sorted(bad))}")
+        _check_types(rb, RandomBoxSpec, "random_box.")
         kw["random_box"] = RandomBoxSpec(**rb)
     else:
         raise ConfigError("random_box must be a mapping")
-    for name in ("times", "fractions"):
-        if name in kw:
-            kw[name] = tuple(kw[name])
-    if "tolerances" in kw:
-        tol = kw["tolerances"]
-        if isinstance(tol, dict):
-            kw["tolerances"] = tuple(sorted(tol.items()))
-        else:
-            kw["tolerances"] = tuple((str(k), float(v)) for k, v in tol)
     try:
         cfg = ScenarioConfig(**kw)
     except TypeError as exc:
@@ -190,22 +219,12 @@ def _validate(cfg: ScenarioConfig) -> None:
         if not cfg.fractions:
             raise ConfigError("fractions: at least one fraction required")
         for s in cfg.fractions:
-            num, _, den = s.partition("/")
-            try:
-                mm, nn = int(num), int(den if den else "1")
-            except ValueError:
-                raise ConfigError(f"fractions: cannot parse {s!r}")
-            if nn <= 0 or mm < 0:
-                raise ConfigError(f"fractions: {s!r} not a valid fraction")
-            if math.gcd(mm, nn) != 1:
-                raise ConfigError(
-                    f"fractions: {s!r} is not reduced; divide by "
-                    f"{math.gcd(mm, nn)}")
+            _fraction(s)
     if cfg.command == "sweep":
         # The sweep verdict needs a trend over at least 4 residuals.
         if cfg.levels < 4:
             raise ConfigError("levels: sweeps need at least 4 levels")
-        if cfg.scenario not in ("transition", "point"):
+        if cfg.scenario not in _SWEEP_RESIDUALS:
             raise ConfigError(f"scenario: unknown scenario {cfg.scenario!r}")
         if cfg.family_j < 0:
             raise ConfigError("family_j: must be non-negative")
@@ -214,6 +233,25 @@ def _validate(cfg: ScenarioConfig) -> None:
             # and count their common momenta twice.
             raise ConfigError("p: box sweeps need |p| >= 4 family_p_width")
         _parse_regime(cfg)
+    unknown = {name for name, _ in cfg.tolerances} - set(_CHECKS)
+    if unknown:
+        raise ConfigError(
+            f"tolerances: unknown checks {', '.join(sorted(unknown))}")
+
+
+def _fraction(s: str) -> Fraction:
+    """A revival fraction "M/N" (or "M" for M/1): M >= 0, N > 0, reduced."""
+    num, _, den = s.partition("/")
+    try:
+        mm, nn = int(num), int(den if den else "1")
+    except ValueError:
+        raise ConfigError(f"fractions: cannot parse {s!r}")
+    if nn <= 0 or mm < 0:
+        raise ConfigError(f"fractions: {s!r} not a valid fraction")
+    if math.gcd(mm, nn) != 1:
+        raise ConfigError(
+            f"fractions: {s!r} is not reduced; divide by {math.gcd(mm, nn)}")
+    return Fraction(mm, nn)
 
 
 def _parse_regime(cfg: ScenarioConfig) -> tuple[Fraction, float]:
@@ -302,7 +340,8 @@ class Emitter:
             for t in self.tables:
                 doc["tables"][t.name] = {
                     "columns": t.columns,
-                    "rows": [[_jsonable(v) for v in row] for row in t.rows],
+                    "rows": [[v.item() if isinstance(v, np.generic) else v
+                              for v in row] for row in t.rows],
                 }
                 manifest["outputs"].append(
                     {"table": t.name, "columns": t.columns})
@@ -328,16 +367,6 @@ class Emitter:
             fh.write("\n")
         written.append(mpath)
         return written
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    return v
 
 
 def verify_manifest(out_dir: str) -> bool:
@@ -399,8 +428,7 @@ def cmd_revival_map(cfg: ScenarioConfig, emitter: Emitter) -> int:
     cell = 2.0 * l / cfg.grid
     rows = []
     for s in cfg.fractions:
-        num, _, den = s.partition("/")
-        frac = Fraction(int(num), int(den if den else "1"))
+        frac = _fraction(s)
         structure = revival_structure(frac.numerator, frac.denominator, l)
         t = float(frac) * scales.t_rev
         dens = np.abs(eval_state(evolve(state, t), x)) ** 2 / nrm
@@ -450,38 +478,23 @@ def _find_peaks(x: np.ndarray, dens: np.ndarray) -> list[float]:
 
 def cmd_sweep(cfg: ScenarioConfig, emitter: Emitter) -> int:
     c, d = _parse_regime(cfg)
-    params = cfg.params()
-    l = params.half_length
-    schedule = make_schedule(c, d, params, cfg.levels, cfg.domain,
+    schedule = make_schedule(c, d, cfg.params(), cfg.levels, cfg.domain,
                              p_ref=cfg.p)
-    family = TestFamily(cfg.domain, l, (cfg.p,), cfg.family_p_width,
-                        J=cfg.family_j)
-    if cfg.scenario == "transition":
-        residuals = []
-        for level in schedule.levels:
-            residuals.append(_transition_residual(cfg, level, c, d, family))
-        verdict = residual_trend_ok(residuals)
-        rows = [[n, lv.params.hbar, lv.params.alpha, lv.t, r, verdict]
-                for n, (lv, r) in enumerate(zip(schedule.levels, residuals))]
-        emitter.add("sweep",
-                    ["level", "hbar (action)", "alpha (length)", "t (time)",
-                     "residual", "verdict"], rows)
-        return EXIT_OK
-    res_delta, res_prof = [], []
-    for level in schedule.levels:
-        rd, rp = _point_residuals(cfg, level, c, d, family)
-        res_delta.append(rd)
-        res_prof.append(rp)
-    v_delta = residual_trend_ok(res_delta)
-    v_prof = residual_trend_ok(res_prof)
-    rows = [[n, lv.params.hbar, lv.params.alpha, lv.t, rd, v_delta, rp,
-             v_prof]
-            for n, (lv, rd, rp) in enumerate(
-                zip(schedule.levels, res_delta, res_prof))]
+    family = TestFamily(cfg.domain, cfg.half_length, (cfg.p,),
+                        cfg.family_p_width, J=cfg.family_j)
+    residuals = _SWEEP_RESIDUALS[cfg.scenario]
+    per_level = [residuals(cfg, level, c, d, family)
+                 for level in schedule.levels]
+    suffixes = list(per_level[0])
+    verdicts = [residual_trend_ok([r[s] for r in per_level])
+                for s in suffixes]
+    rows = [[n, lv.params.hbar, lv.params.alpha, lv.t]
+            + [v for s, ok in zip(suffixes, verdicts) for v in (r[s], ok)]
+            for n, (lv, r) in enumerate(zip(schedule.levels, per_level))]
     emitter.add("sweep",
-                ["level", "hbar (action)", "alpha (length)", "t (time)",
-                 "residual_delta", "verdict_delta", "residual_profile",
-                 "verdict_profile"], rows)
+                ["level", "hbar (action)", "alpha (length)", "t (time)"]
+                + [col + s for s in suffixes
+                   for col in ("residual", "verdict")], rows)
     return EXIT_OK
 
 
@@ -521,7 +534,7 @@ def _sweep_p_nodes(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _transition_residual(cfg: ScenarioConfig, level, c: Fraction, d: float,
-                         family: TestFamily) -> float:
+                         family: TestFamily) -> dict[str, float]:
     par = level.params
     l = par.half_length
     nq = cfg.grid
@@ -534,11 +547,11 @@ def _transition_residual(cfg: ScenarioConfig, level, c: Fraction, d: float,
                        2.0 * l / nq, 8.0 * cfg.family_p_width / cfg.p_grid)
     want = np.array([pair_profile(family, idx, profile)
                      for idx in range(family.size)])
-    return float(np.max(np.abs(got - want)))
+    return {"": float(np.max(np.abs(got - want)))}
 
 
 def _point_residuals(cfg: ScenarioConfig, level, c: Fraction, d: float,
-                     family: TestFamily) -> tuple[float, float]:
+                     family: TestFamily) -> dict[str, float]:
     par = level.params
     l = par.half_length
     rho = DensityOperatorMixture(par, cfg.domain,
@@ -560,8 +573,14 @@ def _point_residuals(cfg: ScenarioConfig, level, c: Fraction, d: float,
                        8.0 * cfg.family_p_width / cfg.p_grid)
     want_delta = np.array([family.value(i, q_t, cfg.p) for i in idx])
     want_prof = np.array([pair_profile(family, i, profile) for i in idx])
-    return (float(np.max(np.abs(got - want_delta))),
-            float(np.max(np.abs(got - want_prof))))
+    return {"_delta": float(np.max(np.abs(got - want_delta))),
+            "_profile": float(np.max(np.abs(got - want_prof)))}
+
+
+# Each sweep scenario's residuals at one level, keyed by the suffix of
+# their residual and verdict columns.
+_SWEEP_RESIDUALS = {"transition": _transition_residual,
+                    "point": _point_residuals}
 
 
 def cmd_husimi(cfg: ScenarioConfig, emitter: Emitter) -> int:
@@ -613,17 +632,6 @@ def cmd_limitdist(cfg: ScenarioConfig, emitter: Emitter) -> int:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-def _default_tolerances() -> dict:
-    return {
-        "modular_identity": 1e-12,
-        "dual_engine": 1e-10,
-        "overlap_quadrature": 1e-10,
-        "norm_series": 1e-12,
-        "resolution_of_unity": 1e-6,
-        "husimi_normalization": 1e-6,
-    }
-
 
 def _check_modular_identity(rng: np.random.Generator) -> float:
     worst = 0.0
@@ -702,30 +710,31 @@ def _check_husimi_normalization() -> float:
     return abs(mass - 1.0)
 
 
+# Each check's default tolerance and the function of its residual;
+# modular_identity's draws from the run's seeded generator.
+_CHECKS = {
+    "modular_identity": (1e-12, _check_modular_identity),
+    "dual_engine": (1e-10, _check_dual_engine),
+    "overlap_quadrature": (1e-10, _check_overlap_quadrature),
+    "norm_series": (1e-12, _check_norm_series),
+    "resolution_of_unity": (1e-6, _check_resolution),
+    "husimi_normalization": (1e-6, _check_husimi_normalization),
+}
+
+
 def cmd_verify(cfg: ScenarioConfig, emitter: Emitter) -> int:
-    tols = _default_tolerances()
-    for name, value in cfg.tolerances:
-        if name not in tols:
-            raise ConfigError(f"tolerances: unknown check {name!r}")
-        tols[name] = value
+    tols = dict(cfg.tolerances)
     rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 20260823)
-    checks = {
-        "modular_identity": lambda: _check_modular_identity(rng),
-        "dual_engine": _check_dual_engine,
-        "overlap_quadrature": _check_overlap_quadrature,
-        "norm_series": _check_norm_series,
-        "resolution_of_unity": _check_resolution,
-        "husimi_normalization": _check_husimi_normalization,
-    }
     rows = []
     failures = []
-    for name, fn in checks.items():
-        residual = float(fn())
-        ok = residual < tols[name]
-        rows.append([name, residual, tols[name], ok])
+    for name, (default, fn) in _CHECKS.items():
+        tol = tols.get(name, default)
+        residual = float(fn(rng) if name == "modular_identity" else fn())
+        ok = residual < tol
+        rows.append([name, residual, tol, ok])
         status = "pass" if ok else "FAIL"
         print(f"{status}  {name}: residual {residual:.3e} "
-              f"(tolerance {tols[name]:.3e})")
+              f"(tolerance {tol:.3e})")
         if not ok:
             failures.append(name)
     emitter.add("verify", ["check", "residual", "tolerance", "pass"], rows)

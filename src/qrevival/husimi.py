@@ -17,10 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .box import _fold_box, _unfold, domain_overlap
+from .box import _fold_box, _unfold
 from .circle import MODE_CAP, LimitProfile, _cover, _evolution_phases, \
     _grid_sum, _kernels, _mode_window, _signed_modes, comb_coefficients, \
-    profile_position_density, time_scales
+    domain_overlap, profile_position_density, time_scales
 from .params import CapacityError, ContractViolation, DomainError, \
     PhasePoint, PhysicalParams
 from .theta import image_window, overlap_decay, theta
@@ -210,9 +210,9 @@ def grid_density(domain: str, half_length: float, mass: float,
                             (float(p_nodes[0]), float(p_nodes[-1])))
 
 
-def density_mass(sigma: ClassicalDensity, nq: int = 256, npv: int = 256
-                 ) -> float:
-    """Total phase-space mass by midpoint quadrature."""
+def density_mass(sigma: ClassicalDensity) -> float:
+    """Total phase-space mass by midpoint quadrature on 256 x 256 nodes."""
+    nq = npv = 256
     l = sigma.half_length
     q = -l + 2.0 * l / nq * (np.arange(nq) + 0.5)
     p_lo, p_hi = sigma.p_range
@@ -221,12 +221,14 @@ def density_mass(sigma: ClassicalDensity, nq: int = 256, npv: int = 256
     return float(np.sum(vals)) * (2.0 * l / nq) * ((p_hi - p_lo) / npv)
 
 
-def kozlov_limit(sigma: ClassicalDensity, nq: int = 512) -> ClassicalDensity:
+def kozlov_limit(sigma: ClassicalDensity) -> ClassicalDensity:
     """Position-averaged limit density of long-time classical transport.
 
-    Circle: (1/2l) integral of sigma over q.  Box: additionally averaged
-    over the momentum sign, since bounces mix the two signs.
+    Circle: (1/2l) integral of sigma over q, by the midpoint rule on 512
+    positions.  Box: additionally averaged over the momentum sign, since
+    bounces mix the two signs.
     """
+    nq = 512
     l = sigma.half_length
     q = -l + 2.0 * l / nq * (np.arange(nq) + 0.5)
     dq = 2.0 * l / nq
@@ -433,7 +435,7 @@ def transition_grid(params: PhysicalParams, fixed: PhasePoint, t: float,
       reaching both signs' windows, each the pair of modes +-k).  A
       column costs one complex exponential per mode and an FFT of
       N = nq L / l bins;
-    * image sum: ``box.domain_overlap`` at every grid point, one complex
+    * image sum: ``circle.domain_overlap`` at every grid point, one complex
       exponential per grid point and image.
 
     Costs are counted in exponentials.  On a 2-vCPU Xeon a mode took

@@ -24,33 +24,19 @@ from .params import ContractViolation, OracleFailure, PhasePoint, \
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite quadrature settings for the inner-product oracle."""
+    """Starting panel count, at least 1, of the inner-product oracle's
+    composite 32-point Gauss-Legendre rule."""
 
-    rule: str = "gauss_legendre"
-    nodes: int = 32
     subdivisions: int = 8
-    target_tol: float = 1e-13
-    max_subdivisions: int = 4096
 
     def __post_init__(self) -> None:
-        if self.rule not in ("gauss_legendre", "trapezoid"):
-            raise ContractViolation(f"unknown rule {self.rule!r}")
-        if self.nodes < 2:
-            raise ContractViolation("nodes must be >= 2")
-        if not self.target_tol > 0.0:
-            raise ContractViolation("target_tol must be positive")
+        if self.subdivisions < 1:
+            raise ContractViolation("subdivisions must be >= 1")
 
 
-def _composite_nodes(lo: float, hi: float, spec: QuadratureSpec,
-                     subdivisions: int):
+def _composite_nodes(lo: float, hi: float, subdivisions: int):
     edges = np.linspace(lo, hi, subdivisions + 1)
-    if spec.rule == "gauss_legendre":
-        x0, w0 = np.polynomial.legendre.leggauss(spec.nodes)
-    else:
-        x0 = np.linspace(-1.0, 1.0, spec.nodes)
-        w0 = np.full(spec.nodes, 2.0 / (spec.nodes - 1))
-        w0[0] *= 0.5
-        w0[-1] *= 0.5
+    x0, w0 = np.polynomial.legendre.leggauss(32)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
@@ -62,23 +48,24 @@ def quad_inner(f, g, domain: tuple[float, float],
                spec: QuadratureSpec = QuadratureSpec()) -> complex:
     """Inner product integral of conj(f) * g over an interval.
 
-    Subdivision count doubles until two successive composite estimates
-    differ by less than ``target_tol``.
+    Starts from ``spec.subdivisions`` panels and doubles the count until
+    two successive composite estimates differ by less than 1e-13;
+    raises ``OracleFailure`` past 4096 panels.
     """
     lo, hi = domain
     subs = spec.subdivisions
     prev = None
-    while subs <= spec.max_subdivisions:
-        x, w = _composite_nodes(lo, hi, spec, subs)
+    while subs <= 4096:
+        x, w = _composite_nodes(lo, hi, subs)
         est = complex(np.sum(w * np.conjugate(np.asarray(f(x)))
                              * np.asarray(g(x))))
-        if prev is not None and abs(est - prev) < spec.target_tol:
+        if prev is not None and abs(est - prev) < 1e-13:
             return est
         prev = est
         subs *= 2
     raise OracleFailure(
         f"quad_inner did not converge: last estimates {prev} vs "
-        f"subdivision cap {spec.max_subdivisions}")
+        "subdivision cap 4096")
 
 
 def _eigenbasis(domain: str, half_length: float, k: np.ndarray,
@@ -130,16 +117,16 @@ def brute_evolve(psi: np.ndarray, params: PhysicalParams, t: float,
 
 
 def bounce_trajectory(phase: PhasePoint, half_length: float, mass: float,
-                      t: float, steps: int = 200000) -> PhasePoint:
+                      t: float) -> PhasePoint:
     """Classical hard-wall trajectory by explicit reflective stepping.
 
     An event-driven integrator: advances ballistically, reflecting at
-    +-l, in exact arithmetic per segment.  Used as the oracle for the
-    covering-map picture of box motion.
+    +-l, in exact arithmetic per segment, for at most 200000 wall hits.
+    Used as the oracle for the covering-map picture of box motion.
     """
     q, p = phase.q, phase.p
     remaining = t
-    for _ in range(steps):
+    for _ in range(200000):
         if p == 0.0:
             return PhasePoint(q, p)
         if p > 0:
@@ -154,15 +141,19 @@ def bounce_trajectory(phase: PhasePoint, half_length: float, mass: float,
     raise OracleFailure("bounce integrator exceeded its step budget")
 
 
+# Times ``resolution_residual`` may widen its momentum windows by 1.5x.
+MAX_WIDENINGS = 6
+
+
 @dataclass(frozen=True)
 class PhaseGridSpec:
-    """Phase-space quadrature grid for the completeness check."""
+    """Phase-space quadrature grid for the completeness check: nq
+    positions, np_ momenta shared among the windows of half-width
+    8 hbar/alpha around ``p_centers``."""
 
     nq: int = 256
     np_: int = 256
     p_centers: tuple[float, ...] = (0.0,)
-    p_halfwidth: float | None = None  # default 8*hbar/alpha
-    max_widenings: int = 6
 
 
 def _coefficient_matrix(params: PhysicalParams, domain: str,
@@ -215,8 +206,10 @@ def resolution_residual(state: WaveState, grid: PhaseGridSpec = PhaseGridSpec()
 
     Reconstructs the state as (1/2 pi hbar) * sum over a (q, p) grid of
     overlap-weighted coherent states and returns the relative error in
-    coefficient space.  The momentum window is widened automatically if
-    it misses more than 1e-8 of the coherent-weight mass.
+    coefficient space.  Each momentum window starts at half-width
+    8 hbar/alpha and is widened by 1.5x, at most ``MAX_WIDENINGS``
+    times, while the windows miss more than 1e-8 of the coherent-weight
+    mass.
 
     The momenta of each window are taken in blocks of at most 2**17
     coefficients: one ``_coefficient_matrix`` call builds the
@@ -233,13 +226,11 @@ def resolution_residual(state: WaveState, grid: PhaseGridSpec = PhaseGridSpec()
     """
     params = state.params
     l = params.half_length
-    halfwidth = grid.p_halfwidth
-    if halfwidth is None:
-        halfwidth = 8.0 * params.hbar / params.alpha
+    halfwidth = 8.0 * params.hbar / params.alpha
     nrm = math.sqrt(state.norm_sq())
     if abs(nrm - 1.0) > 1e-6:
         raise ContractViolation("resolution_residual requires unit norm")
-    for _ in range(grid.max_widenings + 1):
+    for _ in range(MAX_WIDENINGS + 1):
         centers = np.asarray(grid.p_centers, dtype=float)
         windows = _merge_windows(centers - halfwidth, centers + halfwidth)
         p_lo = np.array([w[0] for w in windows])
@@ -250,7 +241,7 @@ def resolution_residual(state: WaveState, grid: PhaseGridSpec = PhaseGridSpec()
     else:
         raise OracleFailure(
             "momentum window still discards > 1e-8 of the coherent mass "
-            f"after {grid.max_widenings} widenings")
+            f"after {MAX_WIDENINGS} widenings")
 
     # Extend the mode range so leakage into neighbouring modes counts
     # toward the residual; the coherent weight spans ~sqrt(40)*l/(pi a)

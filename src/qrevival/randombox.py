@@ -60,12 +60,14 @@ class RandomBoxModel:
     def __post_init__(self) -> None:
         if self.kind not in ("coherent", "eigenstate"):
             raise ContractViolation(f"unknown family kind {self.kind!r}")
-        if not self.l_sigma > 0.0:
-            raise DomainError("l_sigma must be positive")
-        if self.l_center - 4.0 * self.l_sigma <= 0.0:
+        if self.eigen_index < 1:
+            raise ContractViolation("eigen_index must be >= 1")
+        if not 0.0 < self.l_sigma < math.inf:
+            raise DomainError("l_sigma must be positive and finite")
+        if not 4.0 * self.l_sigma < self.l_center < math.inf:
             raise DomainError(
-                "support of the size density must stay positive: need "
-                "l_center > 4 * l_sigma")
+                "l_center must be finite and exceed 4 * l_sigma, so the "
+                "support of the size density stays positive")
 
     @property
     def support(self) -> tuple[float, float]:

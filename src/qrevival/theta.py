@@ -12,8 +12,8 @@ Everything on the circle and in the box reduces to these kernels:
 * ``periodized_overlap`` -- the theta-type image sum
   sum_n (eta_{qp}, eta_{q'+n L, p', t}) over a period L.  Circle overlaps
   are this sum with L = 2l; box overlaps are the same sum on the doubled
-  circle (L = 4l) minus its wall mirror; ``box.domain_overlap`` holds
-  both.  Single overlaps, norms and Husimi grids use it through
+  circle (L = 4l) minus its wall mirror; ``circle.domain_overlap``
+  holds both.  Single overlaps, norms and Husimi grids use it through
   ``domain_overlap``; ``husimi.transition_grid`` uses it only where it
   costs less than the kernel's spectral form, a mode sum per momentum
   column (``overlap_decay`` sizes its image window).

@@ -49,12 +49,28 @@ def test_validation_messages_name_fields(tmp_path, capsys):
         parse_config({"command": "sweep", "levels": 3})
     with pytest.raises(ConfigError, match="family_j"):
         parse_config({"command": "sweep", "family_j": -1})
+    with pytest.raises(ConfigError, match="tolerances"):
+        parse_config({"command": "verify", "tolerances": {"bogus": 1.0}})
     # Through the entry point: a config error, not a crash (exit 1 is
     # "verify failed") and not a run on an empty momentum grid.
-    for command, p_grid in (("sweep", 0), ("husimi", 0), ("husimi", -3)):
-        code, _ = run_cli(tmp_path, command, {"p_grid": p_grid})
+    eigen = {"kind": "eigenstate"}
+    for command, config, field in (
+            ("sweep", {"p_grid": 0}, "p_grid:"),
+            ("husimi", {"p_grid": 0}, "p_grid:"),
+            ("husimi", {"p_grid": -3}, "p_grid:"),
+            ("evolve", {"grid": "abc"}, "grid:"),
+            ("evolve", {"hbar": "0.05"}, "hbar:"),
+            ("evolve", {"times": 5}, "times:"),
+            ("evolve", {"times": [0.0], "hbar": True}, "hbar:"),
+            ("limitdist", {"random_box": {**eigen, "eigen_index": 0}},
+             "eigen_index"),
+            ("limitdist", {"random_box": {**eigen, "eigen_index": -2}},
+             "eigen_index"),
+            ("limitdist", {"random_box": {"l_center": math.nan}},
+             "l_center")):
+        code, _ = run_cli(tmp_path, command, config)
         assert code == 2
-        assert "p_grid:" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
 
 
 def test_evolve_revival_round(tmp_path):

@@ -1,6 +1,7 @@
 """Every imported name in the package and the tests is used, every
-private module-level name in the package is referenced, and importing
-the package loads no heavy optional module."""
+private module-level name in the package is referenced, every optional
+parameter of a public function is passed somewhere, and importing the
+package loads no heavy optional module."""
 
 import ast
 import os
@@ -83,6 +84,77 @@ def test_scan_flags_orphaned_private_names():
 
 def test_no_orphaned_private_names():
     assert _orphans({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def _unset_options(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Optional parameters of public functions, and defaulted fields of
+    public dataclasses, in ``package`` that no call in ``callers``
+    passes, by position or by keyword.
+
+    Calls are matched by the called name alone, and a call with *args
+    or **kw passes everything, so the scan misses rather than invents.
+    """
+    optional = []  # (module, callee, parameter, position or None)
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                pos = node.args.posonlyargs + node.args.args
+                first = len(pos) - len(node.args.defaults)
+                optional += [(module, node.name, a.arg, i)
+                             for i, a in enumerate(pos) if i >= first]
+                optional += [(module, node.name, a.arg, None)
+                             for a, d in zip(node.args.kwonlyargs,
+                                             node.args.kw_defaults)
+                             if d is not None]
+            elif any("dataclass" in ast.dump(d) for d in node.decorator_list):
+                fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                          and isinstance(s.target, ast.Name)]
+                optional += [(module, node.name, s.target.id, i)
+                             for i, s in enumerate(fields)
+                             if s.value is not None]
+    passed = {}  # called name -> (most positional arguments, keywords)
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            n, keywords = passed.get(name, (0, set()))
+            n = max(n, len(node.args))
+            if any(isinstance(a, ast.Starred) for a in node.args) \
+                    or any(k.arg is None for k in node.keywords):
+                n = sys.maxsize
+            passed[name] = (n, keywords | {k.arg for k in node.keywords})
+    unset = []
+    for module, callee, param, position in optional:
+        n, keywords = passed.get(callee, (0, set()))
+        if param not in keywords and (position is None or position >= n):
+            unset.append(f"{module}.{callee}({param})")
+    return unset
+
+
+def test_scan_flags_unset_options():
+    package = {"a": "def f(x, y=1, *, z=2): pass\n"
+                    "def g(x, y=1): pass\n"
+                    "def _h(x=1): pass\n"
+                    "@dataclass(frozen=True)\n"
+                    "class Spec:\n    n: int\n    m: int = 2\n"
+                    "    k: float = 3.0\n"
+                    "class Plain:\n    v: int = 1\n",
+               "b": "@dataclass\nclass Cfg:\n    w: int = 0\n"}
+    callers = ["f(1, 2)\nm.g(1)\nSpec(1, k=4.0)\nCfg(**kw)\ng(*args)\n"]
+    assert _unset_options(package, callers) == [
+        "a.f(z)", "a.Spec(m)"]
+
+
+def test_no_unset_options():
+    callers = [p.read_text() for d in ("src", "tests", "bench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert _unset_options({p.stem: p.read_text() for p in PACKAGE},
+                          callers) == []
 
 
 def test_import_loads_no_heavy_modules():
