@@ -6,17 +6,16 @@ from .params import (CapacityError, ContractViolation, DegenerateStateError,
 from .theta import dispersion, gaussian_overlap, gaussian_packet, theta
 from .circle import (LimitProfile, RevivalStructure, TimeScales, WaveState,
                      circle_norm_sq, circle_overlap, eval_state, evolve,
-                     irrational_structure, limit_profile, make_circle_state,
+                     limit_profile, make_circle_state,
                      profile_position_density, revival_structure,
-                     time_scales, transition_density)
-from .box import (CoveringImage, box_norm_sq, box_overlap, covering_map,
-                  fold_position, make_box_state, theta_inv_map, theta_map)
+                     time_scales)
+from .box import box_norm_sq, box_overlap, make_box_state
 from .husimi import (ClassicalDensity, DensityOperatorMixture,
                      SemiclassicalSchedule, TestFamily, classical_transport,
-                     density_mass, gaussian_mixture_density, grid_density,
-                     husimi, husimi_grid, kozlov_limit, make_schedule,
-                     pair_classical, pair_profile, pair_sampled,
-                     residual_trend_ok, rho_from_classical, transition_grid)
+                     gaussian_mixture_density, husimi, husimi_grid,
+                     kozlov_limit, make_schedule, pair_classical,
+                     pair_profile, pair_sampled, residual_trend_ok,
+                     rho_from_classical, transition_grid)
 from .randombox import (RandomBoxModel, delta_correction,
                         odd_periodic_extend, p_inf, p_xt,
                         time_average_density, uniform_part)
@@ -25,21 +24,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError", "ClassicalDensity", "ContractViolation",
-    "CoveringImage", "DegenerateStateError", "DensityOperatorMixture",
-    "DomainError", "LimitProfile", "MethodUnavailable", "OracleFailure",
-    "PhasePoint", "PhysicalParams", "RandomBoxModel", "RangeError",
-    "RevivalStructure", "SemiclassicalSchedule", "TestFamily", "TimeScales",
-    "WaveState", "box_norm_sq", "box_overlap", "circle_norm_sq",
-    "circle_overlap", "classical_transport", "covering_map",
-    "delta_correction", "density_mass", "dispersion", "eval_state",
-    "evolve", "fold_position", "gaussian_mixture_density",
-    "gaussian_overlap", "gaussian_packet", "grid_density", "husimi",
-    "husimi_grid", "irrational_structure", "kozlov_limit", "limit_profile",
-    "make_box_state", "make_circle_state", "make_schedule",
+    "DegenerateStateError", "DensityOperatorMixture", "DomainError",
+    "LimitProfile", "MethodUnavailable", "OracleFailure", "PhasePoint",
+    "PhysicalParams", "RandomBoxModel", "RangeError", "RevivalStructure",
+    "SemiclassicalSchedule", "TestFamily", "TimeScales", "WaveState",
+    "box_norm_sq", "box_overlap", "circle_norm_sq", "circle_overlap",
+    "classical_transport", "delta_correction", "dispersion", "eval_state",
+    "evolve", "gaussian_mixture_density", "gaussian_overlap",
+    "gaussian_packet", "husimi", "husimi_grid", "kozlov_limit",
+    "limit_profile", "make_box_state", "make_circle_state", "make_schedule",
     "odd_periodic_extend", "p_inf", "p_xt", "pair_classical",
     "pair_profile", "pair_sampled", "profile_position_density",
     "residual_trend_ok", "revival_structure", "rho_from_classical",
-    "theta", "theta_inv_map", "theta_map", "time_average_density",
-    "time_scales", "transition_density", "transition_grid",
+    "theta", "time_average_density", "time_scales", "transition_grid",
     "uniform_part", "wrap_position",
 ]

@@ -1,16 +1,16 @@
 """Coherent states in an infinite square well via the doubled circle.
 
-A box [-l, l] with hard walls unfolds onto a circle of circumference 4l:
-classically through the two-sheeted covering map, quantum mechanically
-through the odd-symmetrization map Theta.  Box coherent states are
-antisymmetrized periodized packets; their overlaps and norms reduce to
-circle kernels on the doubled domain (``circle.domain_overlap``).
+A box [-l, l] with hard walls unfolds onto a circle of circumference 4l.
+Classically, ``_unfold`` puts a box phase point on one of the circle's
+two sheets (one per momentum sign) and ``_fold_box`` folds free motion
+there back into bouncing motion in the box.  Quantum mechanically, box
+states are the odd part of doubled-circle states: box coherent states
+are antisymmetrized periodized packets, whose overlaps and norms reduce
+to circle kernels on the doubled domain (``circle.domain_overlap``).
+``oracles.theta_map`` checks that correspondence on sampled states.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +18,6 @@ from .circle import WaveState, _mode_window, comb_coefficients, \
     domain_overlap
 from .params import ContractViolation, DegenerateStateError, DomainError, \
     PhasePoint, PhysicalParams
-
-ROOT_HALF = math.sqrt(2.0) / 2.0
-
-
-@dataclass(frozen=True)
-class CoveringImage:
-    """Image of a box phase point on the doubled circle [-2l, 2l)."""
-
-    q_prime: float
-    p_prime: float
 
 
 def _unfold(q, p, half_length):
@@ -48,22 +38,6 @@ def _fold_box(q_prime, half_length):
     qp = (np.asarray(q_prime, dtype=float) + 2.0 * l) % (4.0 * l) - 2.0 * l
     right = qp < 0.0
     return np.where(right, qp + l, l - qp), np.where(right, 1.0, -1.0)
-
-
-def covering_map(phase: PhasePoint, half_length: float) -> CoveringImage:
-    """Unfold a box phase point onto the doubled circle (``_unfold``)."""
-    l = half_length
-    if not -l <= phase.q <= l:
-        raise DomainError(f"q={phase.q} outside the box [-{l}, {l}]")
-    q_prime, p_prime = _unfold(phase.q, phase.p, l)
-    return CoveringImage(float(q_prime), float(p_prime))
-
-
-def fold_position(q_prime: float, half_length: float) -> tuple[float, float]:
-    """Fold a doubled-circle position back into the box (``_fold_box``):
-    returns (q, sign) as floats."""
-    q, sign = _fold_box(q_prime, half_length)
-    return float(q), float(sign)
 
 
 def _check_excluded(params: PhysicalParams, phase: PhasePoint) -> None:
@@ -131,53 +105,6 @@ def make_box_state(params: PhysicalParams, phase: PhasePoint) -> WaveState:
     _check_excluded(params, phase)
     b = box_coefficients(params, phase)
     return WaveState("box", params, 1, b, 0.0, phase)
-
-
-def theta_map(psi: np.ndarray, half_length: float) -> np.ndarray:
-    """Fold a sampled doubled-circle function into the box.
-
-    ``psi`` samples a function on a uniform grid over [-2l, 2l) with an
-    even number of points N (so +-l land on grid nodes); returns samples
-    of (sqrt(2)/2)[psi(y - l) - psi(l - y)] on [-l, l) with N/2 points.
-
-    The reflections are exact index arithmetic; no interpolation.
-    """
-    psi = np.asarray(psi)
-    n = len(psi)
-    if n % 4 != 0:
-        raise ContractViolation(
-            "doubled-circle grid length must be divisible by 4 so the "
-            "wall points align with samples")
-    # Grid: y_j = -2l + j * (4l/n).  y - l -> index j - n/4 (mod n);
-    # l - y -> index n/4 - j (mod n), since 5n/4 - j wraps to n/4 - j.
-    j = np.arange(n)
-    shifted = psi[(j - n // 4) % n]
-    reflected = psi[(n // 4 - j) % n]
-    folded = ROOT_HALF * (shifted - reflected)
-    # Keep the box window [-l, l): indices n/4 .. 3n/4 of the y-grid.
-    return folded[n // 4: 3 * n // 4]
-
-
-def theta_inv_map(phi: np.ndarray, half_length: float) -> np.ndarray:
-    """Odd-extend sampled box data back to the doubled circle.
-
-    ``phi`` samples [-l, l) with N points; returns 2N samples on
-    [-2l, 2l): (sqrt(2)/2) phi(x + l) for x in [-2l, 0),
-    -(sqrt(2)/2) phi(l - x) for x in [0, 2l).
-    """
-    phi = np.asarray(phi)
-    n = len(phi)
-    if n % 2 != 0:
-        raise ContractViolation("box grid length must be even")
-    out = np.zeros(2 * n, dtype=complex if np.iscomplexobj(phi) else float)
-    # x_i = -2l + i * (2l/n).  For i < n, x + l lands on box index i.
-    out[:n] = ROOT_HALF * phi
-    # For i >= n, l - x_i lands on box index (2n - i) mod n; at i = n
-    # the target is the phi(l) wall value, which the wrap replaces by
-    # phi(-l) -- both vanish for genuine box functions.
-    i = np.arange(n, 2 * n)
-    out[n:] = -ROOT_HALF * phi[(2 * n - i) % n]
-    return out
 
 
 def box_overlap(params: PhysicalParams, a: PhasePoint, b: PhasePoint,

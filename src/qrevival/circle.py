@@ -92,7 +92,6 @@ class RevivalStructure:
     N: int
     n_prime: int
     a: float
-    irrational_flag: bool = False
 
 
 @dataclass(frozen=True)
@@ -431,11 +430,6 @@ def revival_structure(M: int, N: int, half_length: float) -> RevivalStructure:
     return RevivalStructure(M, N, n_prime, a)
 
 
-def irrational_structure() -> RevivalStructure:
-    """Limit structure for irrational c: one peak, no offset."""
-    return RevivalStructure(0, 1, 1, 0.0, irrational_flag=True)
-
-
 def limit_profile(structure: RevivalStructure, phase: PhasePoint, D: float,
                   t_offset: float, domain: str, params: PhysicalParams
                   ) -> LimitProfile:
@@ -487,11 +481,3 @@ def profile_position_density(profile: LimitProfile, x) -> np.ndarray:
     z = (sheets[..., None] - np.array(profile.centers)) / period
     dens = theta(z, 2.0 * math.pi * (D / period) ** 2).real
     return profile.weight / period * dens.sum(axis=(-2, -1))
-
-
-def transition_density(params: PhysicalParams, a: PhasePoint, b: PhasePoint,
-                       t: float, domain: str) -> float:
-    """Phase-space transition density (1/2 pi hbar)|overlap|^2, the
-    overlap by ``domain_overlap``."""
-    ov = domain_overlap(params, domain, a.q, a.p, b.q, b.p, t)
-    return abs(ov) ** 2 / (2.0 * math.pi * params.hbar)

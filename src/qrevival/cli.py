@@ -213,6 +213,8 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("grid: must be at least 8")
     if cfg.p_grid < 1:
         raise ConfigError("p_grid: must be at least 1")
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ConfigError("seed: must be non-negative")
     if cfg.command == "evolve" and not cfg.times:
         raise ConfigError("times: at least one evolution time is required")
     if cfg.command == "revival-map":

@@ -179,48 +179,6 @@ def gaussian_mixture_density(domain: str, half_length: float, mass: float,
     return ClassicalDensity(domain, l, mass, base, (p_lo, p_hi))
 
 
-def grid_density(domain: str, half_length: float, mass: float,
-                 q_nodes: np.ndarray, p_nodes: np.ndarray,
-                 values: np.ndarray) -> ClassicalDensity:
-    """Classical density from non-negative samples on a product grid.
-
-    Bilinear interpolation between nodes, zero outside the p range.
-    """
-    values = np.asarray(values, dtype=float)
-    if np.any(values < 0.0):
-        raise ContractViolation("grid density has negative values")
-    q_nodes = np.asarray(q_nodes, dtype=float)
-    p_nodes = np.asarray(p_nodes, dtype=float)
-
-    def base(q, p):
-        qi = np.interp(q, q_nodes, np.arange(len(q_nodes)))
-        pi = np.interp(p, p_nodes, np.arange(len(p_nodes)))
-        qi0 = np.clip(np.floor(qi).astype(int), 0, len(q_nodes) - 2)
-        pi0 = np.clip(np.floor(pi).astype(int), 0, len(p_nodes) - 2)
-        fq = qi - qi0
-        fp = pi - pi0
-        v = (values[qi0, pi0] * (1 - fq) * (1 - fp)
-             + values[qi0 + 1, pi0] * fq * (1 - fp)
-             + values[qi0, pi0 + 1] * (1 - fq) * fp
-             + values[qi0 + 1, pi0 + 1] * fq * fp)
-        outside = (p < p_nodes[0]) | (p > p_nodes[-1])
-        return np.where(outside, 0.0, v)
-
-    return ClassicalDensity(domain, half_length, mass, base,
-                            (float(p_nodes[0]), float(p_nodes[-1])))
-
-
-def density_mass(sigma: ClassicalDensity) -> float:
-    """Total phase-space mass by midpoint quadrature on 256 x 256 nodes."""
-    nq = npv = 256
-    l = sigma.half_length
-    q = -l + 2.0 * l / nq * (np.arange(nq) + 0.5)
-    p_lo, p_hi = sigma.p_range
-    p = p_lo + (p_hi - p_lo) / npv * (np.arange(npv) + 0.5)
-    vals = sigma.evaluate(q[:, None], p[None, :])
-    return float(np.sum(vals)) * (2.0 * l / nq) * ((p_hi - p_lo) / npv)
-
-
 def kozlov_limit(sigma: ClassicalDensity) -> ClassicalDensity:
     """Position-averaged limit density of long-time classical transport.
 

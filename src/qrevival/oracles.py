@@ -4,6 +4,10 @@ Nothing here reuses the series shortcuts of the other modules: inner
 products are adaptive quadratures, evolution is direct eigenprojection,
 and the phase-space completeness check reconstructs states by summing
 the coherent states' closed-form coefficients over a phase-space grid.
+Box geometry has two independent checks: hard-wall motion by explicit
+reflection (``bounce_trajectory``), and the odd-symmetrization map
+Theta between sampled doubled-circle and box functions (``theta_map``,
+``theta_inv_map``), by exact index arithmetic.
 """
 
 from __future__ import annotations
@@ -139,6 +143,56 @@ def bounce_trajectory(phase: PhasePoint, half_length: float, mass: float,
         p = -p
         remaining -= dt_wall
     raise OracleFailure("bounce integrator exceeded its step budget")
+
+
+ROOT_HALF = math.sqrt(2.0) / 2.0
+
+
+def theta_map(psi: np.ndarray, half_length: float) -> np.ndarray:
+    """Fold a sampled doubled-circle function into the box.
+
+    ``psi`` samples a function on a uniform grid over [-2l, 2l) with a
+    number of points N divisible by 4 (so +-l land on grid nodes); returns samples
+    of (sqrt(2)/2)[psi(y - l) - psi(l - y)] on [-l, l) with N/2 points.
+
+    The reflections are exact index arithmetic; no interpolation.
+    """
+    psi = np.asarray(psi)
+    n = len(psi)
+    if n % 4 != 0:
+        raise ContractViolation(
+            "doubled-circle grid length must be divisible by 4 so the "
+            "wall points align with samples")
+    # Grid: y_j = -2l + j * (4l/n).  y - l -> index j - n/4 (mod n);
+    # l - y -> index n/4 - j (mod n), since 5n/4 - j wraps to n/4 - j.
+    j = np.arange(n)
+    shifted = psi[(j - n // 4) % n]
+    reflected = psi[(n // 4 - j) % n]
+    folded = ROOT_HALF * (shifted - reflected)
+    # Keep the box window [-l, l): indices n/4 .. 3n/4 of the y-grid.
+    return folded[n // 4: 3 * n // 4]
+
+
+def theta_inv_map(phi: np.ndarray, half_length: float) -> np.ndarray:
+    """Odd-extend sampled box data back to the doubled circle.
+
+    ``phi`` samples [-l, l) with N points; returns 2N samples on
+    [-2l, 2l): (sqrt(2)/2) phi(x + l) for x in [-2l, 0),
+    -(sqrt(2)/2) phi(l - x) for x in [0, 2l).
+    """
+    phi = np.asarray(phi)
+    n = len(phi)
+    if n % 2 != 0:
+        raise ContractViolation("box grid length must be even")
+    out = np.zeros(2 * n, dtype=complex if np.iscomplexobj(phi) else float)
+    # x_i = -2l + i * (2l/n).  For i < n, x + l lands on box index i.
+    out[:n] = ROOT_HALF * phi
+    # For i >= n, l - x_i lands on box index (2n - i) mod n; at i = n
+    # the target is the phi(l) wall value, which the wrap replaces by
+    # phi(-l) -- both vanish for genuine box functions.
+    i = np.arange(n, 2 * n)
+    out[n:] = -ROOT_HALF * phi[(2 * n - i) % n]
+    return out
 
 
 # Times ``resolution_residual`` may widen its momentum windows by 1.5x.

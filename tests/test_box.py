@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from qrevival import circle
 from qrevival.box import (_fold_box, _unfold, box_coefficients, box_norm_sq,
-                          box_overlap, covering_map, fold_position,
-                          make_box_state, theta_inv_map, theta_map)
+                          box_overlap, make_box_state)
 from qrevival.circle import eval_state, evolve, time_scales
 from qrevival.oracles import (QuadratureSpec, bounce_trajectory, quad_inner,
-                              read_golden)
-from qrevival.params import (DegenerateStateError, DomainError, PhasePoint,
-                             PhysicalParams)
+                              read_golden, theta_inv_map, theta_map)
+from qrevival.params import DegenerateStateError, PhasePoint, PhysicalParams
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 L = math.pi
@@ -30,33 +28,29 @@ def test_covering_map_matches_bounce_oracle(rng):
         ph = PhasePoint(rng.uniform(-0.9 * L, 0.9 * L),
                         rng.uniform(0.5, 2.0) * (1 if rng.uniform() < 0.5
                                                  else -1))
-        image = covering_map(ph, L)
+        q_prime, p_prime = _unfold(ph.q, ph.p, L)
         t_cl = 4.0 * L * par.mass / abs(ph.p)
         for t in (0.3, 2.7, 10.0 * t_cl + 0.12):
-            moved = image.q_prime + image.p_prime * t / par.mass
-            q_fold, sign = fold_position(moved, L)
+            moved = q_prime + p_prime * t / par.mass
+            q_fold, sign = _fold_box(moved, L)
             bounced = bounce_trajectory(ph, L, par.mass, t)
             assert abs(q_fold - bounced.q) < 1e-10
-            assert abs(sign * image.p_prime - bounced.p) < 1e-12
+            assert abs(sign * p_prime - bounced.p) < 1e-12
 
 
 def test_fold_is_scalar_fold_position_elementwise(rng):
     q_prime = np.concatenate([rng.uniform(-9.0 * L, 9.0 * L, 200),
                               L * np.arange(-8, 9)])
+    # Folding an array is folding each position on its own.
     q, sign = _fold_box(q_prime, L)
     assert [(float(a), float(b)) for a, b in zip(q, sign)] \
-        == [fold_position(float(v), L) for v in q_prime]
+        == [tuple(map(float, _fold_box(float(v), L))) for v in q_prime]
     # Folding undoes unfolding, on both sheets.
     qb = rng.uniform(-L, L, 100)
     pb = rng.uniform(-2.0, 2.0, 100)
     back, sign = _fold_box(_unfold(qb, pb, L)[0], L)
     assert np.max(np.abs(back - qb)) < 1e-14
     assert np.array_equal(sign, np.where(pb >= 0.0, 1.0, -1.0))
-
-
-def test_covering_map_rejects_outside():
-    with pytest.raises(DomainError):
-        covering_map(PhasePoint(1.5 * L, 1.0), L)
 
 
 def test_excluded_corner():

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 from qrevival import circle
 from qrevival.box import make_box_state
-from qrevival.circle import (circle_norm_sq, circle_overlap,
-                             eval_state, evolve, irrational_structure,
-                             limit_profile, make_circle_state,
+from qrevival.circle import (circle_norm_sq, circle_overlap, eval_state,
+                             evolve, limit_profile, make_circle_state,
                              profile_position_density, revival_structure,
                              time_scales)
 from qrevival.oracles import (QuadratureSpec, brute_evolve,
@@ -217,11 +216,6 @@ def test_revival_structure(m, n, n_prime, has_offset):
 def test_revival_structure_rejects_unreduced():
     with pytest.raises(ContractViolation):
         revival_structure(2, 4, L)
-
-
-def test_irrational_structure():
-    s = irrational_structure()
-    assert s.n_prime == 1 and s.a == 0.0 and s.irrational_flag
 
 
 def test_fractional_revival_peak_positions():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qrevival import cli
-from qrevival.box import fold_position
+from qrevival.box import _fold_box
 from qrevival.cli import (ConfigError, emit_config, main, parse_config,
                           verify_manifest)
 from qrevival.husimi import TestFamily
@@ -67,7 +67,9 @@ def test_validation_messages_name_fields(tmp_path, capsys):
             ("limitdist", {"random_box": {**eigen, "eigen_index": -2}},
              "eigen_index"),
             ("limitdist", {"random_box": {"l_center": math.nan}},
-             "l_center")):
+             "l_center"),
+            # np.random.default_rng(-1) would raise in the run.
+            ("verify", {"seed": -1}, "seed:")):
         code, _ = run_cli(tmp_path, command, config)
         assert code == 2
         assert field in capsys.readouterr().err
@@ -206,7 +208,7 @@ def test_box_sweep_pairs_both_momentum_windows(tmp_path, monkeypatch):
     code, out = run_cli(tmp_path, "sweep", config)
     assert code == 0
     family = TestFamily("box", math.pi, (1.0,), 0.2, J=2)
-    q_t, sign = fold_position(0.5 - math.pi + 4.0, math.pi)
+    q_t, sign = _fold_box(0.5 - math.pi + 4.0, math.pi)
     assert sign == -1.0 and abs(q_t - 1.7832) < 1e-4
     targets = [float(family.value(i, q_t, 1.0)) for i in range(family.size)]
     assert np.array_equal(np.sign(targets), [1, -1, 1, -1, -1])

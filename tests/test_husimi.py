@@ -14,13 +14,12 @@ from test_periodized_overlap import oracle_overlap
 from qrevival.box import domain_overlap
 from qrevival.circle import (LimitProfile, WaveState, limit_profile,
                              profile_position_density, revival_structure,
-                             time_scales, transition_density)
+                             time_scales)
 from qrevival.husimi import (ClassicalDensity, DensityOperatorMixture,
-                             TestFamily, classical_transport, density_mass,
-                             gaussian_mixture_density, grid_density,
-                             husimi, husimi_grid, kozlov_limit,
-                             make_schedule, pair_classical, pair_profile,
-                             pair_sampled, residual_trend_ok,
+                             TestFamily, classical_transport,
+                             gaussian_mixture_density, husimi, husimi_grid,
+                             kozlov_limit, make_schedule, pair_classical,
+                             pair_profile, pair_sampled, residual_trend_ok,
                              rho_from_classical, transition_grid)
 from qrevival.params import (ContractViolation, DomainError, PhasePoint,
                              PhysicalParams)
@@ -38,14 +37,13 @@ def _flat(q, p):
 
 
 _PAR = PhysicalParams(0.1, 1.0, 0.3, L)
-_A, _B = PhasePoint(0.2, 1.0), PhasePoint(-0.5, 1.2)
+_A = PhasePoint(0.2, 1.0)
 TAKES_DOMAIN = {
     "WaveState": lambda d: WaveState(d, _PAR, 0, np.ones(3)),
     "time_scales": lambda d: time_scales(_PAR, 1.0, d),
     "limit_profile": lambda d: limit_profile(
         revival_structure(1, 2, L), _A, 0.3, 0.0, d, _PAR),
     "LimitProfile": lambda d: LimitProfile((0.0,), 0.3, 1.0, 1.0, d, L),
-    "transition_density": lambda d: transition_density(_PAR, _A, _B, 1.0, d),
     "domain_overlap": lambda d: domain_overlap(_PAR, d, 0.2, 1.0, -0.5, 1.2,
                                                1.0),
     "DensityOperatorMixture": lambda d: DensityOperatorMixture(
@@ -54,9 +52,6 @@ TAKES_DOMAIN = {
                                                    (0.0, 2.0)),
     "gaussian_mixture_density": lambda d: gaussian_mixture_density(
         d, L, 1.0, [(1.0, 0.5, 2.0, 0.4, 0.15)]),
-    "grid_density": lambda d: grid_density(
-        d, L, 1.0, np.linspace(-L, L, 4), np.linspace(0.0, 2.0, 3),
-        np.ones((4, 3))),
     "TestFamily": lambda d: TestFamily(d, L, (1.0,), 0.2),
     "transition_grid": lambda d: transition_grid(
         _PAR, _A, 1.0, d, 16, np.array([0.9, 1.1])),
@@ -120,6 +115,29 @@ def test_husimi_scalar_matches_grid():
     assert abs(v - grid[0, 0]) < 1e-15
 
 
+@pytest.mark.parametrize("domain", ["circle", "box"])
+def test_husimi_grid_is_a_sum_of_transition_grids(domain):
+    # |((q, p), U_t a)| = |(a, U_{-t}(q, p))|, so on the midpoint q grid
+    # husimi_grid(rho_t) = sum_i s_i transition_grid(a_i, -t) with
+    # s_i = w_i / |a_i|^2.  Criterion 8 computes its grids this way.
+    hbar = 0.05
+    par = PhysicalParams(hbar, 1.0, 0.3 * math.sqrt(hbar), L)
+    rho = DensityOperatorMixture(par, domain,
+                                 ((0.5, PhasePoint(0.5, 2.0)),
+                                  (0.3, PhasePoint(-1.0, 1.8)),
+                                  (0.2, PhasePoint(2.0, -2.2))))
+    scale = np.array([w for w, _ in rho.atoms]) / rho.atom_norms_sq()
+    nq = 96
+    q = -L + 2.0 * L / nq * (np.arange(nq) + 0.5)
+    p = np.linspace(-3.0, 3.0, 48)
+    t_rev = time_scales(par, 2.0, domain).t_rev
+    for t in (3.0, t_rev / 2.0, t_rev / 2.0 + 1.3):
+        want = husimi_grid(rho.evolved(t), q, p)
+        got = sum(s * transition_grid(par, a, -t, domain, nq, p)
+                  for s, (_, a) in zip(scale, rho.atoms))
+        assert np.max(np.abs(got - want)) < 1e-11 * np.max(want)
+
+
 def test_classical_transport_circle_period():
     sigma = gaussian_mixture_density("circle", L, 1.0,
                                      [(1.0, 0.5, 2.0, 0.4, 0.15)])
@@ -178,14 +196,14 @@ def test_density_mass_one():
     sigma = gaussian_mixture_density("circle", L, 1.0,
                                      [(0.7, 0.0, 1.0, 0.3, 0.1),
                                       (0.3, 1.0, 1.5, 0.5, 0.2)])
-    assert abs(density_mass(sigma) - 1.0) < 1e-6
-
-
-def test_grid_density_rejects_negative():
-    with pytest.raises(ContractViolation):
-        grid_density("circle", L, 1.0, np.linspace(-L, L, 4),
-                     np.linspace(0.0, 1.0, 4),
-                     -np.ones((4, 4)))
+    # Midpoint rule on 256 x 256 nodes over [-l, l) x p_range.
+    n = 256
+    q = -L + 2.0 * L / n * (np.arange(n) + 0.5)
+    p_lo, p_hi = sigma.p_range
+    p = p_lo + (p_hi - p_lo) / n * (np.arange(n) + 0.5)
+    mass = float(np.sum(sigma.evaluate(q[:, None], p[None, :]))) \
+        * (2.0 * L / n) * ((p_hi - p_lo) / n)
+    assert abs(mass - 1.0) < 1e-6
 
 
 def test_kozlov_limit_is_q_independent():
@@ -362,9 +380,9 @@ def _assert_pointwise(par, fixed, t, domain, grid, p_nodes, rows):
     q = -l + 2.0 * l / nq * (np.arange(nq) + 0.5)
     for i in rows:
         for j, pj in enumerate(p_nodes):
-            want = transition_density(par, fixed,
-                                      PhasePoint(float(q[i]), float(pj)),
-                                      t, domain)
+            ov = domain_overlap(par, domain, fixed.q, fixed.p,
+                                float(q[i]), float(pj), t)
+            want = abs(ov) ** 2 / (2.0 * math.pi * par.hbar)
             assert abs(grid[i, j] - want) < 1e-12 * (1.0 + want)
 
 

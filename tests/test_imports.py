@@ -1,10 +1,12 @@
 """Every imported name in the package and the tests is used, every
 private module-level name in the package is referenced, every optional
-parameter of a public function is passed somewhere, and importing the
-package loads no heavy optional module."""
+parameter of a public function is passed somewhere, every exported name
+has a caller outside the tests, and importing the package loads no heavy
+optional module."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +46,19 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _references(tree: ast.AST) -> set[str]:
+    """Names the tree loads, reads as attributes or imports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
 def _orphans(sources: dict[str, str]) -> list[str]:
     """Module-level _private names that no module ever refers to."""
     defined = []
@@ -64,13 +79,7 @@ def _orphans(sources: dict[str, str]) -> list[str]:
             defined += [(module, name) for name in names
                         if name.startswith("_")
                         and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+        used |= _references(tree)
     return [f"{module}.{name}" for module, name in defined
             if name not in used]
 
@@ -155,6 +164,36 @@ def test_no_unset_options():
                for p in sorted((ROOT / d).rglob("*.py"))]
     assert _unset_options({p.stem: p.read_text() for p in PACKAGE},
                           callers) == []
+
+
+def _uncalled_exports(exports: list[str], package: dict[str, str],
+                      texts: list[str]) -> list[str]:
+    """Names in ``exports`` that no module of ``package`` refers to,
+    outside their own definitions, and no text in ``texts`` (benchmark
+    sources, the README) names as a whole word."""
+    used = set().union(*(_references(ast.parse(s))
+                         for s in package.values()))
+    return [name for name in exports if name not in used
+            and not any(re.search(rf"\b{name}\b", t) for t in texts)]
+
+
+def test_scan_flags_uncalled_exports():
+    package = {"a": "def f(): pass\ndef g(): return f()\nclass K: pass\n"
+                    "def h(): pass\n",
+               "b": "from .a import h\n"}
+    texts = ["import pkg\npkg.gx()\n", "Build a `K` first.\n"]
+    assert _uncalled_exports(["f", "g", "h", "K"], package, texts) == ["g"]
+
+
+def test_every_export_has_a_caller():
+    # The package's own __init__ only re-exports, and tests do not count:
+    # a public name serves the pipeline, the benchmark or the README.
+    import qrevival
+    texts = [p.read_text() for p in sorted((ROOT / "bench").rglob("*.py"))]
+    texts.append((ROOT / "README.md").read_text())
+    package = {p.stem: p.read_text() for p in PACKAGE
+               if p.name != "__init__.py"}
+    assert _uncalled_exports(qrevival.__all__, package, texts) == []
 
 
 def test_import_loads_no_heavy_modules():
