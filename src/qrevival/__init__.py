@@ -16,8 +16,7 @@ from .husimi import (ClassicalDensity, DensityOperatorMixture,
                      kozlov_limit, make_schedule, pair_classical,
                      pair_profile, pair_sampled, residual_trend_ok,
                      rho_from_classical, transition_grid)
-from .randombox import (RandomBoxModel, delta_correction,
-                        odd_periodic_extend, p_inf, p_xt,
+from .randombox import (RandomBoxModel, delta_correction, p_xt,
                         time_average_density, uniform_part)
 
 __version__ = "0.1.0"
@@ -33,9 +32,8 @@ __all__ = [
     "evolve", "gaussian_mixture_density", "gaussian_overlap",
     "gaussian_packet", "husimi", "husimi_grid", "kozlov_limit",
     "limit_profile", "make_box_state", "make_circle_state", "make_schedule",
-    "odd_periodic_extend", "p_inf", "p_xt", "pair_classical",
-    "pair_profile", "pair_sampled", "profile_position_density",
-    "residual_trend_ok", "revival_structure", "rho_from_classical",
-    "theta", "time_average_density", "time_scales", "transition_grid",
-    "uniform_part", "wrap_position",
+    "p_xt", "pair_classical", "pair_profile", "pair_sampled",
+    "profile_position_density", "residual_trend_ok", "revival_structure",
+    "rho_from_classical", "theta", "time_average_density", "time_scales",
+    "transition_grid", "uniform_part", "wrap_position",
 ]

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import WaveState, _mode_window, comb_coefficients, \
-    domain_overlap
+from .circle import WaveState, _check_mode_count, _mode_window, \
+    comb_coefficients, domain_overlap
 from .params import ContractViolation, DegenerateStateError, DomainError, \
     PhasePoint, PhysicalParams
 
@@ -67,10 +67,13 @@ def box_coefficient_table(params: PhysicalParams, q, p, half_length
     p, l = np.broadcast_arrays(np.asarray(p, dtype=float),
                                np.asarray(half_length, dtype=float))
     # The window depends on (p, l) only, not on q.
-    windows = np.array([_mode_window(params, pv, 2.0 * lv)
-                        for pv, lv in zip(p.flat, l.flat)],
-                       dtype=int).reshape(p.shape + (2,))
-    k = np.arange(1, int(np.max(np.abs(windows))) + 1)
+    windows = [_mode_window(params, pv, 2.0 * lv)
+               for pv, lv in zip(p.flat, l.flat)]
+    # Rows hold every mode 1..max|k|, not only their windows.
+    n_k = max(abs(k) for window in windows for k in window)
+    _check_mode_count(n_k, "box coefficient table")
+    windows = np.array(windows, dtype=int).reshape(p.shape + (2,))
+    k = np.arange(1, n_k + 1)
     q = np.asarray(q, dtype=float)[..., None]
     p, l = p[..., None], l[..., None]
 

@@ -142,15 +142,21 @@ def domain_overlap(params: PhysicalParams, domain: str, q, p, qb, pb,
             - periodized_overlap(params, q - l, p, l - qb, -pb, t, period))
 
 
+def _check_mode_count(n: int, what: str) -> None:
+    """Refuse an array of more than MODE_CAP modes before it exists."""
+    if n > MODE_CAP:
+        raise CapacityError(f"{what} needs {n} modes (cap {MODE_CAP})")
+
+
 def _mode_window(params: PhysicalParams, p: float, half_length: float):
     """Modes k whose comb weight exp(-alpha^2 (pi k / l - p / hbar)^2)
     passes ``image_window``."""
-    k_min, k_max = image_window(params.alpha**2, -p / params.hbar,
-                                -p / params.hbar, math.pi / half_length)
-    if k_max - k_min + 1 > MODE_CAP:
-        raise CapacityError(
-            f"spectral window needs {k_max - k_min + 1} modes "
-            "(cap 1e7); increase hbar or alpha")
+    centre = -float(p) / params.hbar
+    if not math.isfinite(centre):
+        raise CapacityError(f"p / hbar = {-centre} has no mode window")
+    k_min, k_max = image_window(params.alpha**2, centre, centre,
+                                math.pi / half_length)
+    _check_mode_count(k_max - k_min + 1, "spectral window")
     return k_min, k_max
 
 

@@ -115,14 +115,16 @@ _RB_KEYS = {f.name for f in dataclasses.fields(RandomBoxSpec)}
 
 # The types a config value may take, by the type of its field's default:
 # an int passes for a float, a list for a tuple, and seed's None stands
-# for an int or null.  A bool passes only for a bool.
+# for an int or null.  A bool passes only for a bool, and a float only if
+# finite (JSON reads NaN and Infinity).
 _VALUE_TYPES = {bool: bool, int: int, float: (int, float), str: str,
                 tuple: (list, tuple), type(None): (int, type(None))}
 
 
 def _type_ok(value, default) -> bool:
     return isinstance(value, _VALUE_TYPES[type(default)]) \
-        and isinstance(value, bool) == isinstance(default, bool)
+        and isinstance(value, bool) == isinstance(default, bool) \
+        and (not isinstance(value, float) or math.isfinite(value))
 
 
 def _check_types(data: dict, cls, prefix: str = "") -> None:
@@ -133,7 +135,7 @@ def _check_types(data: dict, cls, prefix: str = "") -> None:
                 and not _type_ok(data[f.name], f.default):
             raise ConfigError(
                 f"{prefix}{f.name}: got {type(data[f.name]).__name__} "
-                f"{data[f.name]!r}, expected the type of {f.default!r}")
+                f"{data[f.name]!r}, expected a value like {f.default!r}")
 
 
 def parse_config(data: dict, command: str | None = None) -> ScenarioConfig:
@@ -156,8 +158,11 @@ def parse_config(data: dict, command: str | None = None) -> ScenarioConfig:
             tol = dict(kw["tolerances"])
         except (TypeError, ValueError):
             raise ConfigError("tolerances: must map check names to numbers")
-        if not all(_type_ok(v, 0.0) for v in tol.values()):
-            raise ConfigError("tolerances: values must be numbers")
+        bad = [str(k) for k, v in tol.items()
+               if not (_type_ok(v, 0.0) and v > 0.0)]
+        if bad:
+            raise ConfigError(f"tolerances: {', '.join(bad)} must be "
+                              "positive finite numbers")
         kw["tolerances"] = tuple(sorted((str(k), float(v))
                                         for k, v in tol.items()))
     _check_types(kw, ScenarioConfig)
@@ -614,8 +619,7 @@ def cmd_limitdist(cfg: ScenarioConfig, emitter: Emitter) -> int:
     x = np.linspace(-hi, hi, cfg.grid)
     un = uniform_part(model, x)
     de = delta_correction(model, x)
-    # The expression p_inf(method="spectral") evaluates, without
-    # computing both parts again.
+    # P_inf = uniform - Delta; the tests check it on oracles.p_inf_inner.
     pi = un - de
     columns = ["x (length)", "p_inf (1/length)", "uniform (1/length)",
                "delta (1/length)"]

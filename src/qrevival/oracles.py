@@ -7,7 +7,8 @@ the coherent states' closed-form coefficients over a phase-space grid.
 Box geometry has two independent checks: hard-wall motion by explicit
 reflection (``bounce_trajectory``), and the odd-symmetrization map
 Theta between sampled doubled-circle and box functions (``theta_map``,
-``theta_inv_map``), by exact index arithmetic.
+``theta_inv_map``), by exact index arithmetic.  ``p_inf_inner`` gets the
+random box's long-time limit from inner products of shifted states.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .box import box_coefficient_table
 from .circle import WaveState, circle_coefficients, comb_coefficients
 from .params import ContractViolation, OracleFailure, PhasePoint, \
     PhysicalParams
+from .randombox import RandomBoxModel, _gl_nodes
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ def bounce_trajectory(phase: PhasePoint, half_length: float, mass: float,
 ROOT_HALF = math.sqrt(2.0) / 2.0
 
 
-def theta_map(psi: np.ndarray, half_length: float) -> np.ndarray:
+def theta_map(psi: np.ndarray) -> np.ndarray:
     """Fold a sampled doubled-circle function into the box.
 
     ``psi`` samples a function on a uniform grid over [-2l, 2l) with a
@@ -173,7 +176,7 @@ def theta_map(psi: np.ndarray, half_length: float) -> np.ndarray:
     return folded[n // 4: 3 * n // 4]
 
 
-def theta_inv_map(phi: np.ndarray, half_length: float) -> np.ndarray:
+def theta_inv_map(phi: np.ndarray) -> np.ndarray:
     """Odd-extend sampled box data back to the doubled circle.
 
     ``phi`` samples [-l, l) with N points; returns 2N samples on
@@ -192,6 +195,47 @@ def theta_inv_map(phi: np.ndarray, half_length: float) -> np.ndarray:
     # phi(-l) -- both vanish for genuine box functions.
     i = np.arange(n, 2 * n)
     out[n:] = -ROOT_HALF * phi[(2 * n - i) % n]
+    return out
+
+
+def odd_periodic_extend(psi: Callable[[np.ndarray], np.ndarray], x,
+                        half_length: float) -> np.ndarray:
+    """Extend a box function to the line: psi(x) = (-1)^n psi((-1)^n u)
+    with x = u + 2 n l, u in [-l, l].
+
+    The extension is odd about each wall and 4l-periodic.
+    """
+    n = np.round(np.asarray(x, dtype=float) / (2.0 * half_length))
+    sign = 1.0 - 2.0 * (n % 2)
+    return sign * np.asarray(psi(sign * (x - 2.0 * n * half_length)))
+
+
+def p_inf_inner(model: RandomBoxModel, x) -> np.ndarray:
+    """Long-time limit density of the random box from inner products: at
+    each size node l, (chi_l(x) / 2l) (1 - Re(psi_l, psi_l(. + s) +
+    psi_l(. - s)) / 2) with s = 2x - 2l, the shifted states read through
+    ``odd_periodic_extend`` and the products taken by the midpoint rule.
+    It shares the size nodes, not the Chebyshev series, of
+    uniform_part - delta_correction."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    nodes, weights, _ = _gl_nodes(model, 0.0)
+    out = np.zeros_like(x)
+    for l, wf in zip(nodes, weights * model.f_density(nodes)):
+        b = model.coefficients_for(l)
+        k = np.arange(1, len(b) + 1)
+
+        def psi(y):
+            return _eigenbasis("box", l, k, y) @ b
+
+        ng = max(512, 16 * len(b))
+        yg = -l + 2.0 * l / ng * (np.arange(ng) + 0.5)
+        psig = psi(yg)
+        for i in np.nonzero(np.abs(x) <= l)[0]:
+            s = 2.0 * x[i] - 2.0 * l
+            shifted = odd_periodic_extend(psi, yg + s, l) \
+                + odd_periodic_extend(psi, yg - s, l)
+            inner = np.vdot(psig, shifted).real * (2.0 * l / ng)
+            out[i] += wf / (2.0 * l) * (1.0 - 0.5 * inner)
     return out
 
 

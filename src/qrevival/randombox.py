@@ -3,13 +3,14 @@
 The box half-size l is a random variable with density f(l).  The mixed
 position density P(x, t) averages |psi_l(x, t)|^2 over f; unlike the
 fixed-size box it is not periodic in time and settles (in time average)
-to a limit P_inf(x) that splits into a "uniform part" minus a
-state-dependent correction Delta(x).
+to a limit P_inf(x) = uniform_part(x) - delta_correction(x), which
+``oracles.p_inf_inner`` cross-checks.
 
-Every density is a Gauss-Legendre average over l, computed in one batch:
-one coefficient table for all nodes (``RandomBoxModel.coefficient_table``),
-and on each block of nodes one Chebyshev series in cos theta per node.
-With theta = pi (x - l) / 2l, the product of two box modes is
+Every other density is one size average (``_size_average``): a
+Gauss-Legendre sum over l with one coefficient table per order
+(``RandomBoxModel.coefficient_table``), and on each block of nodes one
+Chebyshev series in cos theta per node; only the series' coefficients
+differ.  With theta = pi (x - l) / 2l, the product of two box modes is
 sin k theta sin k' theta = [T_|k-k'|(cos theta) - T_(k+k')(cos theta)] / 2,
 so any quadratic form in the modes is a series of degree 2K, summed by
 Clenshaw's recurrence at one sine per (node, point).
@@ -21,11 +22,11 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .box import box_coefficient_table
+from .circle import _check_mode_count, _evolution_phases
 from .params import ContractViolation, DomainError, PhysicalParams
 
 # Entries of one block of size-quadrature nodes, counted by each node's
@@ -84,10 +85,6 @@ class RandomBoxModel:
         lo, hi = self.support
         return np.where((l >= lo) & (l <= hi), raw / inside, 0.0)
 
-    def params_for(self, l: float) -> PhysicalParams:
-        t = self.template
-        return PhysicalParams(t.hbar, t.mass, t.alpha, l)
-
     def coefficients_for(self, l: float) -> np.ndarray:
         """Unit-normalized sine-basis coefficients of psi_l (modes 1..K)."""
         return self.coefficient_table([l])[1][0]
@@ -103,6 +100,7 @@ class RandomBoxModel:
         """
         l = np.atleast_1d(np.asarray(nodes, dtype=float))
         if self.kind == "eigenstate":
+            _check_mode_count(self.eigen_index, "eigenstate table")
             table = np.zeros((len(l), self.eigen_index), dtype=complex)
             table[:, -1] = 1.0
             return np.arange(1, self.eigen_index + 1), table
@@ -110,32 +108,6 @@ class RandomBoxModel:
                                          self.p, l)
         norm_sq = np.sum(table.real**2 + table.imag**2, axis=1)
         return k, table / np.sqrt(norm_sq)[:, None]
-
-
-def odd_periodic_extend(psi: Callable[[np.ndarray], np.ndarray], x,
-                        half_length: float) -> np.ndarray:
-    """Extend a box function to the line: psi(x) = (-1)^n psi((-1)^n u)
-    with x = u + 2 n l, u in [-l, l].
-
-    The extension is odd about each wall and 4l-periodic.
-    """
-    x = np.asarray(x, dtype=float)
-    l = half_length
-    n = np.round(x / (2.0 * l)).astype(int)
-    u = x - 2.0 * n * l
-    sign = np.where(n % 2 == 0, 1.0, -1.0)
-    return sign * np.asarray(psi(sign * u))
-
-
-def _masked_sine_basis(l: float, k: np.ndarray, x: np.ndarray
-                       ) -> np.ndarray:
-    """sin(pi k (x - l) / 2l) / sqrt(l) on a (points x modes) block, zero
-    where |x| > l.  Only ``p_inf(method="inner")`` uses it, so that
-    cross-check stays independent of ``_chebyshev_density``."""
-    inside = np.abs(x)[:, None] <= l
-    angles = np.where(inside, x[:, None] - l, 0.0) * k
-    angles *= math.pi / (2.0 * l)
-    return np.sin(angles) / math.sqrt(l)
 
 
 def _chebyshev_density(l: np.ndarray, coeffs: np.ndarray, x: np.ndarray
@@ -222,8 +194,7 @@ def _gl_nodes(model: RandomBoxModel, t: float, order: int | None = None
     2 order - 1, up to 4097, until the fastest retained spectral phase
     difference changes by less than pi/8 between adjacent nodes at the
     requested time.  The density only sees frequency differences, so a
-    single-mode state never escalates the order.  Nodes are then
-    computed once, for that order only.
+    single-mode state never escalates the order.
     """
     lo, hi = model.support
     par = model.template
@@ -251,6 +222,32 @@ def _gl_nodes(model: RandomBoxModel, t: float, order: int | None = None
     return nodes, 0.5 * (hi - lo) * w0, order
 
 
+@functools.lru_cache(maxsize=1)
+def _size_table(model: RandomBoxModel, order: int):
+    """Read-only nodes, weights w f(l) / l and table (k, B) of one order,
+    kept for the next call: p_xt at t = 20 and the time average share 2049."""
+    nodes, weights, _ = _gl_nodes(model, 0.0, order)
+    k, table = model.coefficient_table(nodes)
+    wf = weights * model.f_density(nodes) / nodes
+    for a in (nodes, wf, k, table):
+        a.setflags(write=False)
+    return nodes, wf, k, table
+
+
+def _size_average(model: RandomBoxModel, x, order: int, coeffs) -> np.ndarray:
+    """sum_n w_n f(l_n) / l_n S_n(x) over the nodes of one order, S_n the
+    Chebyshev series whose coefficients ``coeffs(l, k, B)`` gives for a
+    block of nodes l with coefficient rows B over modes k.  Node blocks
+    hold max(points, 2K + 1) entries per node."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    nodes, wf, k, table = _size_table(model, order)
+    out = np.zeros_like(x)
+    for blk in _node_blocks(len(nodes), max(len(x), 2 * len(k) + 1)):
+        l = nodes[blk]
+        out += wf[blk] @ _chebyshev_density(l, coeffs(l, k, table[blk]), x)
+    return out
+
+
 def p_xt(model: RandomBoxModel, x, t: float,
          order: int | None = None) -> np.ndarray:
     """Mixed position density P(x, t) on an array of positions.
@@ -266,26 +263,18 @@ def p_xt(model: RandomBoxModel, x, t: float,
     autocorrelation, doubled for m > 0 (A'_0 = A_0, A'_m = 2 A_m), and
     B_m = Re sum_(k+k'=m) c_k conj(c_k') the convolution.  Both come
     from one real FFT of length 2K + 1 of (Re c, Im c).  The circular
-    correlation is exact for lags below K and is read only there.  Node
-    blocks are sized by max(points, 2K + 1) entries per node.
+    correlation is exact for lags below K and is read only there.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     if order is None:
-        nodes, weights, _ = _gl_nodes(model, t)
-    else:
-        nodes, weights, _ = _gl_nodes(model, 0.0, order)
+        order = _gl_nodes(model, t)[2]
     par = model.template
-    k, table = model.coefficient_table(nodes)
-    n_k = len(k)
-    n_fft = 2 * n_k + 1
-    wf = weights * model.f_density(nodes) / nodes
-    out = np.zeros_like(x)
-    for blk in _node_blocks(len(nodes), max(len(x), n_fft)):
-        l = nodes[blk]
-        phases = np.exp(-1j * par.hbar * t
-                        * (math.pi * k / (2.0 * l[:, None])) ** 2
-                        / (2.0 * par.mass))
-        c = table[blk] * phases
+
+    def coeffs(l, k, b):
+        n_k, n_fft = len(k), 2 * len(k) + 1
+        # Named, not a temporary: numpy would multiply into a temporary
+        # in place, by a complex loop that rounds differently.
+        phases = _evolution_phases(par, k, t, 2.0 * l[:, None])
+        c = b * phases
         # Column k holds mode k, so lags and index sums are degrees.
         parts = np.zeros((2, len(l), n_k + 1))
         parts[0, :, 1:] = c.real
@@ -294,11 +283,12 @@ def p_xt(model: RandomBoxModel, x, t: float,
         corr, conv = np.fft.irfft(
             [np.sum(f.real**2 + f.imag**2, axis=0), np.sum(f * f, axis=0)],
             n_fft)
-        coeffs = -0.5 * conv
-        coeffs[:, 0] += 0.5 * corr[:, 0]
-        coeffs[:, 1:n_k] += corr[:, 1:n_k]
-        out += wf[blk] @ _chebyshev_density(l, coeffs, x)
-    return out
+        a = -0.5 * conv
+        a[:, 0] += 0.5 * corr[:, 0]
+        a[:, 1:n_k] += corr[:, 1:n_k]
+        return a
+
+    return _size_average(model, x, order, coeffs)
 
 
 def uniform_part(model: RandomBoxModel, x) -> np.ndarray:
@@ -317,57 +307,15 @@ def delta_correction(model: RandomBoxModel, x) -> np.ndarray:
 
     Spectrally, Delta integrates (chi_l / 2l) sum_k |a_k|^2
     cos(pi k (x - l) / l) over the size density.  cos 2k theta is
-    T_2k(cos theta), so each node is a Chebyshev series with |a_k|^2 at
-    degree 2k; node blocks are sized by max(points, 2K + 1).
+    T_2k(cos theta), so each node is a Chebyshev series with |a_k|^2 / 2
+    at degree 2k (the 1/2 of 1/2l, a power of two, so exact).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    nodes, weights, _ = _gl_nodes(model, 0.0)
-    k, table = model.coefficient_table(nodes)
-    coeffs = np.zeros((len(nodes), 2 * len(k) + 1))
-    coeffs[:, 2::2] = table.real**2 + table.imag**2
-    wf = weights * model.f_density(nodes) / (2.0 * nodes)
-    out = np.zeros_like(x)
-    for blk in _node_blocks(len(nodes), max(len(x), coeffs.shape[1])):
-        out += wf[blk] @ _chebyshev_density(nodes[blk], coeffs[blk], x)
-    return out
+    def coeffs(l, k, b):
+        a = np.zeros((len(l), 2 * len(k) + 1))
+        a[:, 2::2] = 0.5 * (b.real**2 + b.imag**2)
+        return a
 
-
-def p_inf(model: RandomBoxModel, x, method: str = "spectral") -> np.ndarray:
-    """Long-time-average position density.
-
-    method="spectral" uses the time-averaged mode expansion; method
-    "inner" computes 1 - Re(psi, psi(. + 2x - 2l) + psi(. - 2x + 2l))/2
-    with the shifted states read through the odd-periodic extension.
-    The two paths agree within quadrature tolerance.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if method == "spectral":
-        return uniform_part(model, x) - delta_correction(model, x)
-    if method != "inner":
-        raise ContractViolation(f"unknown method {method!r}")
-    nodes, weights, _ = _gl_nodes(model, 0.0)
-    fvals = model.f_density(nodes)
-    out = np.zeros_like(x)
-    for l, w, fv in zip(nodes, weights, fvals):
-        l = float(l)
-        b = model.coefficients_for(l)
-        k = np.arange(1, len(b) + 1)
-        ng = max(512, 16 * len(b))
-        yg = -l + 2.0 * l / ng * (np.arange(ng) + 0.5)
-        psig = _masked_sine_basis(l, k, yg) @ b
-
-        def psi_call(y, l=l, b=b, k=k):
-            return _masked_sine_basis(l, k, np.atleast_1d(y)) @ b
-
-        inside = np.abs(x) <= l
-        for i in np.nonzero(inside)[0]:
-            shift = 2.0 * x[i] - 2.0 * l
-            plus = odd_periodic_extend(psi_call, yg + shift, l)
-            minus = odd_periodic_extend(psi_call, yg - shift, l)
-            inner = np.sum(np.conjugate(psig) * (plus + minus)) \
-                * (2.0 * l / ng)
-            out[i] += w * fv / (2.0 * l) * (1.0 - 0.5 * float(inner.real))
-    return out
+    return _size_average(model, x, _gl_nodes(model, 0.0)[2], coeffs)
 
 
 def time_average_density(model: RandomBoxModel, x, t_start: float | None
@@ -394,10 +342,8 @@ def time_average_density(model: RandomBoxModel, x, t_start: float | None
     D the Dirichlet factor, is summed one diagonal k' = k + m at a time,
     m < K.  A diagonal adds to degree m (half of it for m = 0, the two
     mirrored diagonals for m > 0) and is subtracted at degrees 2k + m,
-    so no K x K array is formed.  Node blocks are sized by
-    max(points, 2K + 1) entries per node.
+    so no K x K array is formed.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     par = model.template
     l0 = model.l_center
     t_rev = 16.0 * par.mass * l0 * l0 / (math.pi * par.hbar)
@@ -407,20 +353,16 @@ def time_average_density(model: RandomBoxModel, x, t_start: float | None
         window = 40.0 * t_rev
     dt = window / n_samples
     t_mid = t_start + 0.5 * (n_samples - 1) * dt
-    nodes, weights, _ = _gl_nodes(model, 0.0, order)
-    k, table = model.coefficient_table(nodes)
-    n_k = len(k)
-    wf = weights * model.f_density(nodes) / nodes
-    out = np.zeros_like(x)
-    for blk in _node_blocks(len(nodes), max(len(x), 2 * n_k + 1)):
-        l = nodes[blk]
+
+    def coeffs(l, k, b):
+        n_k = len(k)
         omega = par.hbar * (math.pi * k / (2.0 * l[:, None])) ** 2 \
             / (2.0 * par.mass)
         # exp(-i dw t_mid) factors into per-mode phases.  The averaged
         # kernel is Hermitian and the basis real, so only its real part
         # reaches the density.
-        c = table[blk] * np.exp(-1j * omega * t_mid)
-        coeffs = np.zeros((len(l), 2 * n_k + 1))
+        c = b * np.exp(-1j * omega * t_mid)
+        a = np.zeros((len(l), 2 * n_k + 1))
         for m in range(n_k):
             lo, hi = slice(0, n_k - m), slice(m, n_k)
             half = 0.5 * dt * (omega[:, lo] - omega[:, hi])
@@ -431,7 +373,8 @@ def time_average_density(model: RandomBoxModel, x, t_start: float | None
                 + c.imag[:, lo] * c.imag[:, hi]
             if m == 0:
                 diag *= 0.5
-            coeffs[:, m] += np.sum(diag, axis=1)
-            coeffs[:, 2 + m:2 * n_k - m + 1:2] -= diag
-        out += wf[blk] @ _chebyshev_density(l, coeffs, x)
-    return out
+            a[:, m] += np.sum(diag, axis=1)
+            a[:, 2 + m:2 * n_k - m + 1:2] -= diag
+        return a
+
+    return _size_average(model, x, order, coeffs)

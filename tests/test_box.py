@@ -9,12 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrevival import circle
-from qrevival.box import (_fold_box, _unfold, box_coefficients, box_norm_sq,
-                          box_overlap, make_box_state)
+from qrevival.box import (_fold_box, _unfold, box_coefficient_table,
+                          box_coefficients, box_norm_sq, box_overlap,
+                          make_box_state)
 from qrevival.circle import eval_state, evolve, time_scales
 from qrevival.oracles import (QuadratureSpec, bounce_trajectory, quad_inner,
                               read_golden, theta_inv_map, theta_map)
-from qrevival.params import DegenerateStateError, PhasePoint, PhysicalParams
+from qrevival.params import (CapacityError, DegenerateStateError, PhasePoint,
+                             PhysicalParams)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 L = math.pi
@@ -115,13 +117,23 @@ def test_overlap_against_golden():
         assert abs(got - want) < tol
 
 
+def test_box_table_caps_stored_modes(monkeypatch):
+    # Rows hold every mode 1..max|k|: at p = 200 that is 8065 modes,
+    # although the mode window is only 131 wide.
+    monkeypatch.setattr(circle, "MODE_CAP", 1000)
+    par = PhysicalParams(0.05, 1.0, 0.2, L)
+    assert len(box_coefficient_table(par, 0.0, 1.0, L)[0]) == 105
+    with pytest.raises(CapacityError, match="8065 modes"):
+        box_coefficient_table(par, 0.0, 200.0, L)
+
+
 def test_theta_map_round_trip(rng):
     n = 256
     x = -L + 2.0 * L / n * np.arange(n)
     # A genuine box function: vanishes at the walls.
     phi = np.sin(3.0 * math.pi * (x - L) / (2.0 * L)) \
         + 0.4j * np.sin(math.pi * (x - L) / L)
-    back = theta_map(theta_inv_map(phi, L), L)
+    back = theta_map(theta_inv_map(phi))
     assert np.max(np.abs(back - phi)) < 1e-14
 
 
@@ -129,7 +141,7 @@ def test_theta_inv_map_oddness():
     n = 128
     x = -L + 2.0 * L / n * np.arange(n)
     phi = np.sin(2.0 * math.pi * (x - L) / (2.0 * L))
-    ext = theta_inv_map(phi, L)
+    ext = theta_inv_map(phi)
     # Odd about the wall x = -l (doubled-grid index n).
     for j in range(1, n // 2):
         assert abs(ext[n + j] + ext[n - j]) < 1e-14
@@ -145,7 +157,7 @@ def test_theta_intertwines_evolution():
     from qrevival.circle import make_circle_state
     circ = make_circle_state(par2, PhasePoint(ph.q - L, ph.p))
     evolved_circle = eval_state(evolve(circ, t), x2)
-    folded = theta_map(evolved_circle, L)
+    folded = theta_map(evolved_circle)
     box = make_box_state(par, ph)
     xb = -L + 2.0 * L / (n // 2) * np.arange(n // 2)
     evolved_box = eval_state(evolve(box, t), xb)

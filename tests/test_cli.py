@@ -11,6 +11,7 @@ from qrevival.box import _fold_box
 from qrevival.cli import (ConfigError, emit_config, main, parse_config,
                           verify_manifest)
 from qrevival.husimi import TestFamily
+from qrevival.randombox import RandomBoxModel
 
 
 def run_cli(tmp_path, command, config):
@@ -73,6 +74,39 @@ def test_validation_messages_name_fields(tmp_path, capsys):
         code, _ = run_cli(tmp_path, command, config)
         assert code == 2
         assert field in capsys.readouterr().err
+
+
+# JSON reads NaN and Infinity.  Each of these used to run: to a
+# traceback, to nan columns, or to a failed verification (exit 1).
+@pytest.mark.parametrize("command, config, field", [
+    ("limitdist", {"random_box": {"p": math.nan}}, "random_box.p:"),
+    ("limitdist", {"random_box": {"q_rel": math.nan}}, "random_box.q_rel:"),
+    ("limitdist", {"family_p_width": math.nan}, "family_p_width:"),
+    ("limitdist", {"times": [math.nan]}, "times:"),
+    ("limitdist", {"times": [math.inf]}, "times:"),
+    ("verify", {"tolerances": {"dual_engine": -1.0}},
+     "tolerances: dual_engine"),
+    ("verify", {"tolerances": {"norm_series": 0.0}},
+     "tolerances: norm_series"),
+    ("verify", {"tolerances": {"dual_engine": math.nan}},
+     "tolerances: dual_engine"),
+])
+def test_non_finite_values_are_config_errors(tmp_path, capsys, command,
+                                              config, field):
+    code, _ = run_cli(tmp_path, command, config)
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, why", [
+    (1e300, "box coefficient table needs"),  # modes 1..max|k| too many
+    (1e308, "no mode window"),  # p / hbar overflows to inf
+])
+def test_unallocatable_box_exits_capacity(tmp_path, capsys, p, why):
+    # Both used to end in an OverflowError traceback (exit 1).
+    code, _ = run_cli(tmp_path, "limitdist", {"random_box": {"p": p}})
+    assert code == 3
+    assert why in capsys.readouterr().err
 
 
 def test_evolve_revival_round(tmp_path):
@@ -308,6 +342,26 @@ def test_limitdist_identity_column(tmp_path):
     rows = np.loadtxt(out / "limitdist.csv", delimiter=",", skiprows=1)
     # p_inf + delta - uniform = 0.
     assert np.max(np.abs(rows[:, 1] + rows[:, 3] - rows[:, 2])) < 1e-12
+
+
+def test_limitdist_builds_each_table_once(tmp_path, monkeypatch):
+    # p_xt at t = 20 adapts to order 2049, the time average's default.
+    sizes = []
+    table = RandomBoxModel.coefficient_table
+
+    def spy(self, nodes):
+        sizes.append(len(nodes))
+        return table(self, nodes)
+
+    monkeypatch.setattr(RandomBoxModel, "coefficient_table", spy)
+    code, _ = run_cli(tmp_path, "limitdist",
+                      {"half_length": 1.0, "grid": 101, "times": [5.0, 20.0],
+                       "include_time_average": True,
+                       "random_box": {"l_center": 1.0, "l_sigma": 0.02,
+                                      "q_rel": 0.17, "p": 1.0}})
+    assert code == 0
+    assert sorted(set(sizes) - {1}) == [129, 513, 2049]
+    assert sizes.count(2049) == 1
 
 
 def test_verify_all_pass(tmp_path):

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrevival import randombox
+from qrevival import circle, randombox
 from qrevival.box import box_coefficients, box_norm_sq
-from qrevival.params import DomainError, PhasePoint, PhysicalParams
+from qrevival.oracles import odd_periodic_extend, p_inf_inner
+from qrevival.params import (CapacityError, DomainError, PhasePoint,
+                             PhysicalParams)
 from qrevival.randombox import (RandomBoxModel, _chebyshev_density,
                                 _gl_nodes, _legendre_gauss, delta_correction,
-                                odd_periodic_extend, p_inf, p_xt,
-                                time_average_density, uniform_part)
+                                p_xt, time_average_density, uniform_part)
 
 PAR = PhysicalParams(0.05, 1.0, 0.2, 1.0)
 
@@ -62,19 +63,11 @@ def test_density_mass():
         assert abs(mass - 1.0) < 1e-5
 
 
-def test_identity_exact():
-    m = _coherent_model()
-    x = np.linspace(-1.1, 1.1, 301)
-    resid = p_inf(m, x) + delta_correction(m, x) - uniform_part(m, x)
-    assert np.max(np.abs(resid)) < 1e-12
-
-
 def test_inner_path_cross_check():
     m = _coherent_model()
     x = np.array([-0.7, -0.2, 0.1, 0.55, 0.9])
-    a = p_inf(m, x, method="spectral")
-    b = p_inf(m, x, method="inner")
-    assert np.max(np.abs(a - b)) < 1e-10
+    a = uniform_part(m, x) - delta_correction(m, x)
+    assert np.max(np.abs(a - p_inf_inner(m, x))) < 1e-10
 
 
 def test_eigenstate_stationary():
@@ -116,7 +109,7 @@ def test_time_average_matches_p_inf():
     m = _coherent_model()
     x = np.linspace(-1.08, 1.08, 217)
     ta = time_average_density(m, x)
-    pi = p_inf(m, x)
+    pi = uniform_part(m, x) - delta_correction(m, x)
     assert np.max(np.abs(ta - pi)) < 0.01 * np.max(pi)
 
 
@@ -194,7 +187,7 @@ def test_coefficient_table_matches_box_coefficients(q_rel):
     k, table = m.coefficient_table(nodes)
     assert np.array_equal(k, np.arange(1, table.shape[1] + 1))
     for l, row in zip(nodes, table):
-        par = m.params_for(float(l))
+        par = PhysicalParams(PAR.hbar, PAR.mass, PAR.alpha, float(l))
         phase = PhasePoint(q_rel * float(l), 1.0)
         b = box_coefficients(par, phase) / math.sqrt(box_norm_sq(par, phase))
         assert np.max(np.abs(row[:len(b)] - b)) <= 1e-14
@@ -207,6 +200,15 @@ def test_coefficient_table_eigenstate():
     assert np.array_equal(k, [1, 2, 3])
     assert np.array_equal(table, np.tile([0.0, 0.0, 1.0], (3, 1)))
     assert np.array_equal(m.coefficients_for(1.0), [0.0, 0.0, 1.0])
+
+
+def test_eigenstate_table_respects_mode_cap(monkeypatch):
+    monkeypatch.setattr(circle, "MODE_CAP", 1000)
+    m = RandomBoxModel(PAR, 1.0, 0.02, kind="eigenstate", eigen_index=1001)
+    with pytest.raises(CapacityError, match="1001 modes"):
+        m.coefficient_table([1.0])
+    m = RandomBoxModel(PAR, 1.0, 0.02, kind="eigenstate", eigen_index=1000)
+    assert m.coefficient_table([1.0])[1].shape == (1, 1000)
 
 
 @pytest.mark.parametrize("cap", [1, 500])
