@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import WaveState, _check_mode_count, _mode_window, \
-    comb_coefficients, domain_overlap
+from .circle import WaveState, _mode_window, comb_coefficients, \
+    domain_overlap
 from .params import ContractViolation, DegenerateStateError, DomainError, \
     PhasePoint, PhysicalParams
+from .theta import _check_count
 
 
 def _unfold(q, p, half_length):
@@ -71,7 +72,7 @@ def box_coefficient_table(params: PhysicalParams, q, p, half_length
                for pv, lv in zip(p.flat, l.flat)]
     # Rows hold every mode 1..max|k|, not only their windows.
     n_k = max(abs(k) for window in windows for k in window)
-    _check_mode_count(n_k, "box coefficient table")
+    _check_count(n_k, "box coefficient table", "modes")
     windows = np.array(windows, dtype=int).reshape(p.shape + (2,))
     k = np.arange(1, n_k + 1)
     q = np.asarray(q, dtype=float)[..., None]

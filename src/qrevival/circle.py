@@ -14,13 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import (CapacityError, ContractViolation, DomainError,
-                     MethodUnavailable, PhasePoint, PhysicalParams,
-                     wrap_position)
-from .theta import (dispersion, gaussian_packet, image_window,
+from .params import (ContractViolation, DomainError, MethodUnavailable,
+                     PhasePoint, PhysicalParams, wrap_position)
+from .theta import (_check_count, dispersion, gaussian_packet, image_window,
                     periodized_overlap, theta)
-
-MODE_CAP = 10**7
 
 # The module, not the theta function the package re-exports; read at
 # call time so BLOCK_CAP stays one setting.
@@ -142,21 +139,13 @@ def domain_overlap(params: PhysicalParams, domain: str, q, p, qb, pb,
             - periodized_overlap(params, q - l, p, l - qb, -pb, t, period))
 
 
-def _check_mode_count(n: int, what: str) -> None:
-    """Refuse an array of more than MODE_CAP modes before it exists."""
-    if n > MODE_CAP:
-        raise CapacityError(f"{what} needs {n} modes (cap {MODE_CAP})")
-
-
 def _mode_window(params: PhysicalParams, p: float, half_length: float):
     """Modes k whose comb weight exp(-alpha^2 (pi k / l - p / hbar)^2)
     passes ``image_window``."""
     centre = -float(p) / params.hbar
-    if not math.isfinite(centre):
-        raise CapacityError(f"p / hbar = {-centre} has no mode window")
     k_min, k_max = image_window(params.alpha**2, centre, centre,
                                 math.pi / half_length)
-    _check_mode_count(k_max - k_min + 1, "spectral window")
+    _check_count(k_max - k_min + 1, "spectral window", "modes")
     return k_min, k_max
 
 
@@ -242,10 +231,13 @@ def _eval_circle_images(params: PhysicalParams, phase: PhasePoint,
     """Sum of freely evolving packets over shifts of 2l (vectorized)."""
     l = half_length
     center = phase.q + phase.p * t / params.mass
-    # |eta_{qp,t}(x)| decays as exp(-(x - centre)^2 / (4 dispersion^2)).
-    n_lo, n_hi = image_window(0.25 / dispersion(params, t) ** 2,
+    # |eta_{qp,t}(x)| decays as exp(-(x - centre)^2 / (4 dispersion^2)),
+    # or not at all once dispersion^2 passes the largest double.
+    d = dispersion(params, t)
+    n_lo, n_hi = image_window(0.25 / d**2 if d < 1e154 else 0.0,
                               center - float(np.max(x)),
                               center - float(np.min(x)), 2.0 * l)
+    _check_count(n_hi - n_lo + 1, "image sum", "images")
     out = np.zeros_like(x, dtype=complex)
     for n in range(n_lo, n_hi + 1):
         shifted = PhasePoint(phase.q + 2.0 * n * l, phase.p)
@@ -452,6 +444,7 @@ def limit_profile(structure: RevivalStructure, phase: PhasePoint, D: float,
     l = params.half_length
     cover = _cover(domain, l)
     n_prime = structure.n_prime
+    _check_count(n_prime, "limit profile", "centres")
     drift = -phase.p * t_offset / params.mass
     spacing, offset = 2.0 * cover / n_prime, structure.a * (cover / l)
     centers = tuple(

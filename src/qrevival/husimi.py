@@ -18,12 +18,12 @@ from typing import Callable
 import numpy as np
 
 from .box import _fold_box, _unfold
-from .circle import MODE_CAP, LimitProfile, _cover, _evolution_phases, \
-    _grid_sum, _kernels, _mode_window, _signed_modes, comb_coefficients, \
+from .circle import LimitProfile, _cover, _evolution_phases, _grid_sum, \
+    _kernels, _mode_window, _signed_modes, comb_coefficients, \
     domain_overlap, profile_position_density, time_scales
 from .params import CapacityError, ContractViolation, DomainError, \
     PhasePoint, PhysicalParams
-from .theta import image_window, overlap_decay, theta
+from .theta import _check_count, image_window, overlap_decay, theta
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +401,12 @@ def transition_grid(params: PhysicalParams, fixed: PhasePoint, t: float,
     butterflies 4 ns, a sixteenth of an exponential.  The image sum
     runs when it costs no more, which takes a wide window and few
     images (alpha = 1e-5 on l = pi: 1.26e6 modes), or when the mode
-    window would exceed ``MODE_CAP``, so nothing raises
-    ``CapacityError``.  Mode-sum columns are built in blocks of at most
-    as many (modes or bins) x columns entries as one image sum over the
-    grid holds, nq x images, and never more than ``theta.BLOCK_CAP``, so
-    the mode sum needs about as much memory as the image sum it
-    replaces.
+    window would exceed ``theta.MODE_CAP``, which leaves ``CapacityError``
+    to grids whose image window exceeds it too.  Mode-sum columns are
+    built in blocks of at most as many (modes or bins) x columns entries
+    as one image sum over the grid holds, nq x images, and never more
+    than ``theta.BLOCK_CAP``, so the mode sum needs about as much memory
+    as the image sum it replaces.
 
     The forms agree to rounding.  Against ``oracles.quad_inner`` at
     gamma = 800 (hbar = 0.02, alpha = 0.05, t = 200) the mode sum is
@@ -439,21 +439,20 @@ def transition_grid(params: PhysicalParams, fixed: PhasePoint, t: float,
 def _transition_window(params: PhysicalParams, p: float,
                        p_nodes: np.ndarray, domain: str) -> np.ndarray | None:
     """Modes of the transition mode sum, or None when there are no p'
-    nodes or the window would exceed ``MODE_CAP``."""
+    nodes or the window would exceed ``theta.MODE_CAP``."""
     if len(p_nodes) == 0:
         return None
     cover = _cover(domain, params.half_length)
     try:
         windows = [_mode_window(params, pv, cover)
                    for pv in (p, float(p_nodes.min()), float(p_nodes.max()))]
+        k_lo = min(w[0] for w in windows)
+        k_hi = max(w[1] for w in windows)
+        if domain == "box":
+            # Sines pair the modes +-k: k >= 1 reaching both signs' windows.
+            k_lo, k_hi = 1, max(k_hi, -k_lo)
+        _check_count(k_hi - k_lo + 1, "transition window", "modes")
     except CapacityError:
-        return None
-    k_lo = min(w[0] for w in windows)
-    k_hi = max(w[1] for w in windows)
-    if domain == "box":
-        # Sines pair the modes +-k: k >= 1 reaching both signs' windows.
-        k_lo, k_hi = 1, max(k_hi, -k_lo)
-    if k_hi - k_lo + 1 > MODE_CAP:
         return None
     return np.arange(k_lo, k_hi + 1)
 

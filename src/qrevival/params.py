@@ -26,7 +26,7 @@ class MethodUnavailable(RuntimeError):
     """The requested evaluation path does not apply to this state."""
 
 
-class DegenerateStateError(ValueError):
+class DegenerateStateError(DomainError):
     """Construction requested inside the zero-state exclusion region."""
 
 

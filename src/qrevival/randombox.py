@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .box import box_coefficient_table
-from .circle import _check_mode_count, _evolution_phases
+from .circle import _evolution_phases, _mode_window
 from .params import ContractViolation, DomainError, PhysicalParams
+from .theta import _check_count
 
 # Entries of one block of size-quadrature nodes, counted by each node's
 # largest temporary: max(points, Chebyshev degree + 1).
@@ -100,7 +101,7 @@ class RandomBoxModel:
         """
         l = np.atleast_1d(np.asarray(nodes, dtype=float))
         if self.kind == "eigenstate":
-            _check_mode_count(self.eigen_index, "eigenstate table")
+            _check_count(self.eigen_index, "eigenstate table", "modes")
             table = np.zeros((len(l), self.eigen_index), dtype=complex)
             table[:, -1] = 1.0
             return np.arange(1, self.eigen_index + 1), table
@@ -199,10 +200,12 @@ def _gl_nodes(model: RandomBoxModel, t: float, order: int | None = None
     lo, hi = model.support
     par = model.template
     order = 129 if order is None else order
-    b0 = model.coefficients_for(model.l_center)
-    live = np.nonzero(np.abs(b0) > 0.0)[0] + 1
-    k_lo = int(live[0]) if len(live) else 1
-    k_hi = int(live[-1]) if len(live) else 1
+    # Sine k lives where comb mode k or -k does (box_coefficient_table).
+    k_min, k_max = (model.eigen_index,) * 2 if model.kind == "eigenstate" \
+        else _mode_window(par, model.p, 2.0 * model.l_center)
+    k_hi = max(-k_min, k_max)
+    _check_count(k_hi, "box coefficient table", "modes")
+    k_lo = 1 if k_min <= 0 <= k_max else min(abs(k_min), abs(k_max))
     # d/dl of hbar pi^2 (k_hi^2 - k_lo^2) t / (8 m l^2) is
     # -(2/l) times the phase difference.
     phase_slope = par.hbar * math.pi**2 * (k_hi**2 - k_lo**2) * abs(t) \

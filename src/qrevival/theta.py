@@ -19,7 +19,9 @@ Everything on the circle and in the box reduces to these kernels:
   column (``overlap_decay`` sizes its image window).
 
 ``image_window`` is the one truncation rule for every Gaussian-weighted
-lattice sum (image shifts and Fourier modes alike).
+lattice sum (image shifts and Fourier modes alike).  ``_check_count``
+refuses a window (modes, images, theta terms or revival centres) above
+``MODE_CAP`` or without a finite bound before any array holds it.
 """
 
 from __future__ import annotations
@@ -29,11 +31,14 @@ import math
 
 import numpy as np
 
-from .params import DomainError, PhasePoint, PhysicalParams, RangeError
+from .params import (CapacityError, DomainError, PhasePoint, PhysicalParams,
+                     RangeError)
 
 # Lattice sums keep every term whose Gaussian weight is above
 # e^-WINDOW_LOG (~4e-18), plus one term of padding on each side.
 WINDOW_LOG = 40.0
+# Terms of one window; read at call time by ``_check_count``.
+MODE_CAP = 10**7
 # Entries of one (labels x images) block of the periodized overlap.
 BLOCK_CAP = 2**22
 
@@ -76,6 +81,7 @@ def theta(z, tau: complex):
     drift = -(z.real + tau.imag * z.imag / a)
     n_lo, n_hi = image_window(math.pi * a / abs(tau) ** 2,
                               float(np.min(drift)), float(np.max(drift)), 1.0)
+    _check_count(min(k_hi - k_lo, n_hi - n_lo) + 1, "theta", "terms")
     if k_hi - k_lo <= n_hi - n_lo:
         k = np.arange(k_lo, k_hi + 1)
         expo = -math.pi * tau * k**2 + 2j * math.pi * k * z[..., None]
@@ -157,11 +163,21 @@ def image_window(decay: float, lo: float, hi: float, period: float
 
     Keeps every n for which exp(-decay (d + n period)^2) is above
     e^-WINDOW_LOG for some offset d in [lo, hi], padded by one index on
-    each side.
+    each side.  A window without a finite bound (decay 0, offsets that
+    overflowed) is (-inf, inf), which only ``_check_count`` may size.
     """
-    reach = math.sqrt(WINDOW_LOG / decay)
-    return (math.floor((-hi - reach) / period) - 1,
-            math.ceil((reach - lo) / period) + 1)
+    reach = math.sqrt(WINDOW_LOG / decay) if decay > 0.0 else math.inf
+    n_lo, n_hi = (-hi - reach) / period, (reach - lo) / period
+    if not math.isfinite(n_lo) or not math.isfinite(n_hi):
+        return -math.inf, math.inf
+    return math.floor(n_lo) - 1, math.ceil(n_hi) + 1
+
+
+def _check_count(n, what: str, unit: str) -> None:
+    """Refuse a window of more than MODE_CAP terms (``unit``), or one
+    without a finite bound, before any array or loop holds it."""
+    if not n <= MODE_CAP:
+        raise CapacityError(f"{what} needs {n} {unit} (cap {MODE_CAP})")
 
 
 def overlap_decay(params: PhysicalParams, t: float) -> float:
@@ -172,10 +188,12 @@ def overlap_decay(params: PhysicalParams, t: float) -> float:
     return 1.0 / (2.0 * params.alpha**2 * (4.0 + g * g))
 
 
-def _shifts(decay: float, drift: np.ndarray, period: float) -> np.ndarray:
+def _shifts(decay: float, drift, period: float) -> np.ndarray:
     """Image shifts n * period for offsets spanning ``drift``."""
-    n_lo, n_hi = image_window(decay, float(np.min(drift)),
-                              float(np.max(drift)), period)
+    lo, hi = (float(drift.min()), float(drift.max())) \
+        if isinstance(drift, np.ndarray) else (drift, drift)
+    n_lo, n_hi = image_window(decay, lo, hi, period)
+    _check_count(n_hi - n_lo + 1, "overlap image window", "images")
     return period * np.arange(n_lo, n_hi + 1)
 
 
@@ -197,20 +215,16 @@ def periodized_overlap(params: PhysicalParams, q, p, qb, pb, t: float,
     floats).  The image window follows the spread of the labels, so
     batching a grid differently changes the sum only by rounding.  Work
     above BLOCK_CAP (labels x images) entries is split into blocks along
-    the first axis, each with its own window.
+    the first axis, each with its own window; a block holds one row at
+    least, however many images that takes.
     """
     decay = overlap_decay(params, t)
     drift = qb - q + (p + pb) * (t / (2.0 * params.mass))
-    if not isinstance(drift, np.ndarray) or drift.ndim == 0:
-        # Scalar labels skip the array path, whose fixed cost would
-        # double a single call (circle_overlap, box_overlap and the
-        # scalar norms pass one label at a time).
-        n_lo, n_hi = image_window(decay, drift, drift, period)
-        shifts = qb + period * np.arange(n_lo, n_hi + 1)
-        return overlap_core(params, q, p, shifts, pb, t).sum()
     shifts = _shifts(decay, drift, period)
-    rows = max(1, BLOCK_CAP * len(drift) // (drift.size * len(shifts)))
-    if rows >= len(drift):
+    n, size = (len(drift), drift.size) if getattr(drift, "ndim", 0) \
+        else (1, 1)
+    rows = max(1, BLOCK_CAP * n // (size * len(shifts)))
+    if rows >= n:
         # One block: the loop would find this window again and copy the
         # result, 12 us a call on a 2-vCPU Xeon (+12% at 128 labels).
         return _image_sum(params, q, p, qb, pb, t, shifts)

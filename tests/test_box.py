@@ -1,5 +1,6 @@
 """Box states via the doubled circle: maps, coefficients, overlaps."""
 
+import importlib
 import math
 import os
 
@@ -18,6 +19,7 @@ from qrevival.oracles import (QuadratureSpec, bounce_trajectory, quad_inner,
 from qrevival.params import (CapacityError, DegenerateStateError, PhasePoint,
                              PhysicalParams)
 
+theta = importlib.import_module("qrevival.theta")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 L = math.pi
 EPS = np.finfo(float).eps
@@ -120,7 +122,7 @@ def test_overlap_against_golden():
 def test_box_table_caps_stored_modes(monkeypatch):
     # Rows hold every mode 1..max|k|: at p = 200 that is 8065 modes,
     # although the mode window is only 131 wide.
-    monkeypatch.setattr(circle, "MODE_CAP", 1000)
+    monkeypatch.setattr(theta, "MODE_CAP", 1000)
     par = PhysicalParams(0.05, 1.0, 0.2, L)
     assert len(box_coefficient_table(par, 0.0, 1.0, L)[0]) == 105
     with pytest.raises(CapacityError, match="8065 modes"):

@@ -1,7 +1,9 @@
 """CLI plumbing: config validation, round trips, outputs, exit codes."""
 
+import importlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from qrevival.cli import (ConfigError, emit_config, main, parse_config,
                           verify_manifest)
 from qrevival.husimi import TestFamily
 from qrevival.randombox import RandomBoxModel
+
+theta = importlib.import_module("qrevival.theta")
 
 
 def run_cli(tmp_path, command, config):
@@ -100,13 +104,45 @@ def test_non_finite_values_are_config_errors(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("p, why", [
     (1e300, "box coefficient table needs"),  # modes 1..max|k| too many
-    (1e308, "no mode window"),  # p / hbar overflows to inf
+    (1e308, "spectral window needs inf modes"),  # p / hbar overflows
 ])
 def test_unallocatable_box_exits_capacity(tmp_path, capsys, p, why):
     # Both used to end in an OverflowError traceback (exit 1).
     code, _ = run_cli(tmp_path, "limitdist", {"random_box": {"p": p}})
     assert code == 3
     assert why in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, cap, why", [
+    # About 2500 images, each a pass over the grid.
+    ("evolve", {"times": [5000.0], "method": "image_sum"}, 1000,
+     "image sum needs"),
+    # gamma^2 overflows, so the windows have no finite bound.
+    ("evolve", {"times": [1e300], "method": "image_sum"}, None,
+     "image sum needs inf images"),
+    ("husimi", {"times": [1e300]}, None,
+     "overlap image window needs inf images"),
+    ("revival-map", {"fractions": ["1/1001"]}, 1000,
+     "limit profile needs 1001 centres"),
+])
+def test_windows_above_cap_exit_capacity(tmp_path, capsys, monkeypatch,
+                                         command, config, cap, why):
+    # Each used to run to the end, or to a traceback (exit 1).
+    if cap is not None:
+        monkeypatch.setattr(theta, "MODE_CAP", cap)
+    code, _ = run_cli(tmp_path, command,
+                      dict(config, grid=16, p_grid=4, q=0.3, p=1.0))
+    assert code == 3
+    assert why in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evolve", "revival-map"])
+def test_degenerate_box_label_is_config_error(tmp_path, capsys, command):
+    code, _ = run_cli(tmp_path, command,
+                      {"domain": "box", "q": 3.0, "p": 0.0, "grid": 16,
+                       "times": [0.0], "fractions": ["1/2"]})
+    assert code == 2
+    assert "exclusion region" in capsys.readouterr().err
 
 
 def test_evolve_revival_round(tmp_path):
@@ -360,8 +396,8 @@ def test_limitdist_builds_each_table_once(tmp_path, monkeypatch):
                        "random_box": {"l_center": 1.0, "l_sigma": 0.02,
                                       "q_rel": 0.17, "p": 1.0}})
     assert code == 0
-    assert sorted(set(sizes) - {1}) == [129, 513, 2049]
-    assert sizes.count(2049) == 1
+    # No one-node probe tables: the order rule reads the mode window.
+    assert Counter(sizes) == {129: 1, 513: 1, 2049: 1}
 
 
 def test_verify_all_pass(tmp_path):

@@ -473,6 +473,16 @@ def test_transition_grid_huge_window_takes_image_sum(domain, alpha):
 
 
 @pytest.mark.parametrize("domain", ["circle", "box"])
+def test_transition_grid_without_image_window_takes_mode_sum(domain):
+    # gamma^2 overflows at t = 1e300: the image window has no finite
+    # bound, and the cost rule must not size it.
+    par = PhysicalParams(0.05, 1.0, 0.2, L)
+    grid, modes = _transition_branch(par, PhasePoint(0.4, 1.0), 1e300,
+                                     domain, 16, np.array([0.9, 1.0]))
+    assert modes and np.all(np.isfinite(grid)) and np.all(grid >= 0.0)
+
+
+@pytest.mark.parametrize("domain", ["circle", "box"])
 @pytest.mark.parametrize("cap", [None, 2**14])
 def test_transition_grid_memory(domain, cap, monkeypatch):
     # The 6.3k-mode packet of the dense evolve config on 2048 x 128, at

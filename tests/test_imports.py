@@ -95,6 +95,30 @@ def test_no_orphaned_private_names():
     assert _orphans({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
+def _settings_by_value(sources: dict[str, str]) -> list[str]:
+    """ALL_CAPS names that a module imports from a sibling module: the
+    reader keeps its own copy, which a monkeypatched setting never
+    reaches."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{module}: {alias.name}" for alias in node.names
+                          if alias.name.isupper()]
+    return found
+
+
+def test_scan_flags_settings_imported_by_value():
+    sources = {"a": "CAP = 3\n_LOG = 2.0\ndef f(): return CAP\n",
+               "b": "from .a import CAP, _LOG, f\nfrom . import a\n"
+                    "from numpy import PINF\nprint(a.CAP, PINF)\n"}
+    assert _settings_by_value(sources) == ["b: CAP", "b: _LOG"]
+
+
+def test_no_settings_imported_by_value():
+    assert _settings_by_value({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
 def _unset_options(package: dict[str, str], callers: list[str]) -> list[str]:
     """Optional parameters of public functions, and defaulted fields of
     public dataclasses, in ``package`` that no call in ``callers``

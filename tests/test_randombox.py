@@ -1,5 +1,6 @@
 """Random-half-size box: limit identity, cross-checked paths, averages."""
 
+import importlib
 import math
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrevival import circle, randombox
+from qrevival import randombox
 from qrevival.box import box_coefficients, box_norm_sq
 from qrevival.oracles import odd_periodic_extend, p_inf_inner
 from qrevival.params import (CapacityError, DomainError, PhasePoint,
@@ -18,6 +19,7 @@ from qrevival.randombox import (RandomBoxModel, _chebyshev_density,
                                 _gl_nodes, _legendre_gauss, delta_correction,
                                 p_xt, time_average_density, uniform_part)
 
+theta = importlib.import_module("qrevival.theta")
 PAR = PhysicalParams(0.05, 1.0, 0.2, 1.0)
 
 
@@ -180,6 +182,30 @@ def test_order_rule_and_cap_warning():
                 "lose accuracy"]
 
 
+@pytest.mark.parametrize("kind, p, across_zero", [
+    ("coherent", 1.0, True),  # comb window about -9..34
+    ("coherent", 5.0, False),  # about 42..85
+    ("coherent", -5.0, False),
+    ("eigenstate", 1.0, False),
+])
+def test_order_rule_reads_live_sines(kind, p, across_zero):
+    # The order leaves 129 once the phase spread between nodes reaches
+    # pi/8, at a time set by the first and last nonzero sine.
+    m = RandomBoxModel(PAR, 1.0, 0.02, kind=kind, q_rel=0.3, p=p,
+                       eigen_index=3)
+    live = np.nonzero(m.coefficients_for(m.l_center))[0] + 1
+    assert (live[0] == 1) == across_zero
+    lo, hi = m.support
+    slope = PAR.hbar * math.pi**2 * (live[-1]**2 - live[0]**2) \
+        * (hi - lo) / (4.0 * PAR.mass * lo**3)
+    if kind == "eigenstate":
+        assert slope == 0.0 and _gl_nodes(m, 1e9)[2] == 129
+        return
+    t_edge = math.pi / 8.0 * 129 / slope
+    assert _gl_nodes(m, t_edge * (1.0 - 1e-9))[2] == 129
+    assert _gl_nodes(m, t_edge * (1.0 + 1e-9))[2] == 257
+
+
 @pytest.mark.parametrize("q_rel", [0.3, -0.45])
 def test_coefficient_table_matches_box_coefficients(q_rel):
     m = RandomBoxModel(PAR, 1.0, 0.02, kind="coherent", q_rel=q_rel, p=1.0)
@@ -203,7 +229,7 @@ def test_coefficient_table_eigenstate():
 
 
 def test_eigenstate_table_respects_mode_cap(monkeypatch):
-    monkeypatch.setattr(circle, "MODE_CAP", 1000)
+    monkeypatch.setattr(theta, "MODE_CAP", 1000)
     m = RandomBoxModel(PAR, 1.0, 0.02, kind="eigenstate", eigen_index=1001)
     with pytest.raises(CapacityError, match="1001 modes"):
         m.coefficient_table([1.0])

@@ -1,5 +1,6 @@
 """Theta kernel, free packets, and the closed-form line overlap."""
 
+import importlib
 import math
 import os
 from fractions import Fraction
@@ -10,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrevival.oracles import QuadratureSpec, quad_inner, read_golden
-from qrevival.params import DomainError, PhasePoint, PhysicalParams, \
-    RangeError
+from qrevival.params import CapacityError, DomainError, PhasePoint, \
+    PhysicalParams, RangeError
 from qrevival.theta import (dispersion, gaussian_overlap, gaussian_packet,
                             overlap_core, theta)
 
+kernels = importlib.import_module("qrevival.theta")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -24,6 +26,14 @@ def test_theta_known_value():
                                for k in range(1, 20))
     assert abs(theta(0.0, 1.0) - expected) < 1e-15
     assert abs(theta(0.0, 1.0) - 1.0864348112) < 1e-10
+
+
+@pytest.mark.parametrize("tau", [complex(1e-6, 0.5), complex(1e-300, 0.4)])
+def test_theta_refuses_windows_above_cap(monkeypatch, tau):
+    # The cheaper form needs about 3570 terms, or about 3e150.
+    monkeypatch.setattr(kernels, "MODE_CAP", 1000)
+    with pytest.raises(CapacityError, match="theta needs"):
+        theta(0.1, tau)
 
 
 def test_theta_against_golden():
